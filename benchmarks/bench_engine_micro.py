@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.columnar import ColumnBatch, ColumnarApplier, compile_predicate
+from repro.columnar import ColumnBatch, ColumnarApplier
 from repro.engine import Database
 from repro.engine.rows import decode_row, encode_row
+from repro.sql.compiler import compile_predicate, row_layout
 from repro.sql.expressions import evaluate, is_true
 from repro.sql.parser import parse
 from repro.workloads import OltpWorkload, PartsGenerator, parts_schema
@@ -87,8 +88,8 @@ def test_sized_update_transaction(benchmark, populated):
 # --------------------------------------------------------- row vs columnar
 # The columnar experiment gates the *end-to-end* speedup in virtual time;
 # these pin down where the real-wall-clock win comes from, stage by stage:
-# predicate evaluation (dict env + interpreter per row vs compiled kernel
-# per position) and statement apply (executor row loop vs batch DML).
+# predicate evaluation (dict env + interpreter per row vs compiled closure
+# per row tuple) and statement apply (executor row loop vs batch DML).
 
 _PREDICATE_SQL = "quantity > 500 AND status != 'retired'"
 
@@ -118,14 +119,12 @@ def test_predicate_eval_row_at_a_time(benchmark, populated):
 def test_predicate_eval_columnar_kernel(benchmark, populated, parts_image):
     where = parse(f"DELETE FROM parts WHERE {_PREDICATE_SQL}").where
     kernel = compile_predicate(
-        where, parts_image.layout, frozenset({"parts"})
+        where, row_layout(parts_image.column_names, ("parts",))
     )
-    cols = parts_image.columns
+    rows = parts_image.tuples
 
     def kernel_filter():
-        return sum(
-            1 for pos in range(parts_image.num_rows) if kernel(cols, pos)
-        )
+        return sum(1 for row in rows if kernel(row))
 
     assert benchmark(kernel_filter) > 0
 

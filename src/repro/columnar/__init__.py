@@ -3,11 +3,11 @@
 The row-at-a-time apply path interprets every delta rule per row with
 dict environments; this package executes them per **batch**:
 
-* :mod:`~repro.columnar.batch` — :class:`ColumnBatch`, parallel arrays
-  per column with null masks and a per-window row-id space, built from
-  one engine-table scan or from shippable Op-Delta windows;
-* :mod:`~repro.columnar.kernels` — closure compilation of the existing
-  SQL AST into ``(columns, position) -> value`` kernels, cached once per
+* :mod:`~repro.columnar.batch` — :class:`ColumnBatch`, a table image of
+  one row tuple per position with a per-window row-id space, built from
+  one engine-table scan;
+* :mod:`~repro.columnar.kernels` — :class:`KernelCache`, which keeps the
+  ``row -> value`` closures of :mod:`repro.sql.compiler` once per
   ``(plan fingerprint, table, kind, view)``;
 * :mod:`~repro.columnar.apply` — :class:`ColumnarApplier`, the columnar
   group-apply mode of the op-delta integrator, with row-path fallback
@@ -18,20 +18,11 @@ dict environments; this package executes them per **batch**:
 # ``repro.sql``, which keeps this package importable on its own (the SQL
 # front end cannot initialise before the engine — see ``engine.remote``).
 from .apply import ColumnarApplier
-from .batch import ColumnBatch, batch_from_insert_rows
-from .kernels import (
-    CompileBarrier,
-    KernelCache,
-    compile_expression,
-    compile_predicate,
-)
+from .batch import ColumnBatch
+from .kernels import KernelCache
 
 __all__ = [
     "ColumnBatch",
     "ColumnarApplier",
-    "CompileBarrier",
     "KernelCache",
-    "batch_from_insert_rows",
-    "compile_expression",
-    "compile_predicate",
 ]

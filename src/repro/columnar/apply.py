@@ -5,16 +5,17 @@ columnar mode drives.  Per conflict component it materialises each
 touched table **once** into a :class:`~repro.columnar.batch.ColumnBatch`
 image (one costed scan, where the row path re-scans per statement),
 replays every statement of the component against the image with
-compiled kernels (:mod:`repro.columnar.kernels`), and commits through
+kernels compiled by :mod:`repro.sql.compiler` (cached in
+:mod:`repro.columnar.kernels`), and commits through
 the engine's batch DML entry points — which perform the identical
 logical mutations (validation, unique checks, index maintenance,
 triggers, undo, bit-identical WAL payloads) at the columnar CPU factor.
 
 **Parity invariant.**  For every statement the applier either (a)
-replays it columnar with kernels that are closure-compiled from the same
-AST the row path interprets, writing results back into the image so
-later statements read their writes, or (b) hits a
-:class:`~repro.columnar.kernels.CompileBarrier` / unsupported shape and
+replays it columnar with the closures the row path's executor compiles
+from the same AST, writing results back into the image so later
+statements read their writes, or (b) hits a
+:class:`~repro.sql.compiler.CompileBarrier` / unsupported shape and
 falls back to the original row path verbatim, invalidating the affected
 image.  Either way the final table state is bit-for-bit the state the
 row-at-a-time path produces — the property the columnar Hypothesis suite
@@ -30,14 +31,15 @@ from ..engine.table import Table
 from ..engine.transactions import Transaction
 from ..errors import SqlAnalysisError
 from ..sql import ast_nodes as ast
-from ..sql.expressions import evaluate
-from .batch import ColumnBatch
-from .kernels import (
+from ..sql.compiler import (
     CompileBarrier,
-    KernelCache,
     compile_expression,
     compile_predicate,
+    row_layout,
 )
+from ..sql.expressions import evaluate
+from .batch import ColumnBatch
+from .kernels import KernelCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.opdelta import OpDelta
@@ -139,7 +141,7 @@ class ColumnarApplier:
         self._dispatch()
         rows: list[tuple[Any, ...]] = []
         for closures in compiled_rows:
-            literal_row = tuple(closure((), 0) for closure in closures)
+            literal_row = tuple(closure(()) for closure in closures)
             if stmt.columns is None:
                 rows.append(literal_row)
             else:
@@ -167,59 +169,34 @@ class ColumnarApplier:
     ) -> int:
         table = self._db.table(stmt.table)
         image = self._image(table)
-        qualifiers = frozenset({stmt.table})
 
         def factory() -> tuple[Any, tuple[tuple[str, Any], ...]]:
-            predicate = compile_predicate(stmt.where, image.layout, qualifiers)
-            assignments = tuple(
-                (a.column, compile_expression(a.expr, image.layout, qualifiers))
-                for a in stmt.assignments
-            )
-            return predicate, assignments
+            layout = row_layout(image.column_names, (stmt.table,))
+            return _update_kernels(stmt, stmt.where, layout)
 
         predicate, assignments = self.kernels.get(
             ("mirror-update", stmt.table, cache_key), factory
         )
         self._dispatch()
-        cols = image.columns
-        valid = image.valid
-        matched = [
-            pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
-        ]
-        updates = [
-            (
-                image.row_ids[pos],
-                {column: kernel(cols, pos) for column, kernel in assignments},
-            )
-            for pos in matched
-        ]
-        results = table.update_batch(txn, updates)
-        for pos, (_old, new_values) in zip(matched, results):
-            image.set_row(pos, new_values)
-        self.rows_batched += len(matched)
-        return len(matched)
+        matched = _update_image(image, table, txn, predicate, assignments)
+        self.rows_batched += matched
+        return matched
 
     def _mirror_delete(
         self, stmt: ast.DeleteStmt, txn: Transaction, cache_key: str
     ) -> int:
         table = self._db.table(stmt.table)
         image = self._image(table)
-        qualifiers = frozenset({stmt.table})
         predicate = self.kernels.get(
             ("mirror-delete", stmt.table, cache_key),
-            lambda: compile_predicate(stmt.where, image.layout, qualifiers),
+            lambda: compile_predicate(
+                stmt.where, row_layout(image.column_names, (stmt.table,))
+            ),
         )
         self._dispatch()
-        cols = image.columns
-        valid = image.valid
-        matched = [
-            pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
-        ]
-        table.delete_batch(txn, [image.row_ids[pos] for pos in matched])
-        for pos in matched:
-            image.mark_deleted(pos)
-        self.rows_batched += len(matched)
-        return len(matched)
+        matched = _delete_from_image(image, table, txn, predicate)
+        self.rows_batched += matched
+        return matched
 
     # -------------------------------------------------------------- view path
     def apply_view(
@@ -284,7 +261,7 @@ class ColumnarApplier:
         self, view: "MaterializedView", stmt: ast.InsertStmt, txn: Transaction
     ) -> None:
         base_columns = view.base_columns
-        base_layout = {name: slot for slot, name in enumerate(base_columns)}
+        base_layout = row_layout(base_columns)
 
         def factory() -> tuple[Any, tuple[int, ...]]:
             qualify = compile_predicate(view.predicate, base_layout)
@@ -312,12 +289,10 @@ class ColumnarApplier:
                 raise CompileBarrier("INSERT width mismatch: row path raises")
             else:
                 base_rows.append(values)
-        batch = ColumnBatch.from_rows(base_columns, base_rows)
-        cols = batch.columns
         projected = [
-            tuple(cols[slot][pos] for slot in project)
-            for pos in range(batch.num_rows)
-            if qualify(cols, pos)
+            tuple(row[slot] for slot in project)
+            for row in base_rows
+            if qualify(row)
         ]
         if not projected:
             return
@@ -336,16 +311,12 @@ class ColumnarApplier:
         cache_key: str,
     ) -> None:
         image = self._image(view.table)
-        qualifiers = frozenset({view.definition.name, stmt.table})
 
         def factory() -> tuple[Any, tuple[tuple[str, Any], ...]]:
-            narrowed = view.narrowed(stmt.where)
-            predicate = compile_predicate(narrowed, image.layout, qualifiers)
-            assignments = tuple(
-                (a.column, compile_expression(a.expr, image.layout, qualifiers))
-                for a in stmt.assignments
+            layout = row_layout(
+                image.column_names, (view.definition.name, stmt.table)
             )
-            return predicate, assignments
+            return _update_kernels(stmt, view.narrowed(stmt.where), layout)
 
         predicate, assignments = self.kernels.get(
             (
@@ -357,22 +328,9 @@ class ColumnarApplier:
             factory,
         )
         self._dispatch()
-        cols = image.columns
-        valid = image.valid
-        matched = [
-            pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
-        ]
-        updates = [
-            (
-                image.row_ids[pos],
-                {column: kernel(cols, pos) for column, kernel in assignments},
-            )
-            for pos in matched
-        ]
-        results = view.table.update_batch(txn, updates)
-        for pos, (_old, new_values) in zip(matched, results):
-            image.set_row(pos, new_values)
-        self.rows_batched += len(matched)
+        self.rows_batched += _update_image(
+            image, view.table, txn, predicate, assignments
+        )
 
     def _view_rewrite_delete(
         self,
@@ -382,7 +340,6 @@ class ColumnarApplier:
         cache_key: str,
     ) -> None:
         image = self._image(view.table)
-        qualifiers = frozenset({view.definition.name, stmt.table})
         predicate = self.kernels.get(
             (
                 "view-delete",
@@ -391,16 +348,65 @@ class ColumnarApplier:
                 cache_key,
             ),
             lambda: compile_predicate(
-                view.narrowed(stmt.where), image.layout, qualifiers
+                view.narrowed(stmt.where),
+                row_layout(image.column_names, (view.definition.name, stmt.table)),
             ),
         )
         self._dispatch()
-        cols = image.columns
-        valid = image.valid
-        matched = [
-            pos for pos in range(len(valid)) if valid[pos] and predicate(cols, pos)
-        ]
-        view.table.delete_batch(txn, [image.row_ids[pos] for pos in matched])
-        for pos in matched:
-            image.mark_deleted(pos)
-        self.rows_batched += len(matched)
+        self.rows_batched += _delete_from_image(
+            image, view.table, txn, predicate
+        )
+
+
+def _update_kernels(
+    stmt: ast.UpdateStmt, where: ast.Expression | None, layout: dict[str, int]
+) -> tuple[Any, tuple[tuple[str, Any], ...]]:
+    """The (predicate, assignment kernels) pair of a columnar UPDATE."""
+    predicate = compile_predicate(where, layout)
+    assignments = tuple(
+        (a.column, compile_expression(a.expr, layout)) for a in stmt.assignments
+    )
+    return predicate, assignments
+
+
+def _matching(image: ColumnBatch, predicate: Any) -> list[int]:
+    """Live positions of ``image`` whose tuple satisfies ``predicate``."""
+    return [
+        pos
+        for pos, (row, alive) in enumerate(zip(image.tuples, image.valid))
+        if alive and predicate(row)
+    ]
+
+
+def _update_image(
+    image: ColumnBatch,
+    table: Table,
+    txn: Transaction,
+    predicate: Any,
+    assignments: tuple[tuple[str, Any], ...],
+) -> int:
+    """Batch-update the matching rows; the image reads its own writes."""
+    matched = _matching(image, predicate)
+    tuples = image.tuples
+    updates = [
+        (
+            image.row_ids[pos],
+            {column: kernel(tuples[pos]) for column, kernel in assignments},
+        )
+        for pos in matched
+    ]
+    results = table.update_batch(txn, updates)
+    for pos, (_old, new_values) in zip(matched, results):
+        image.set_row(pos, new_values)
+    return len(matched)
+
+
+def _delete_from_image(
+    image: ColumnBatch, table: Table, txn: Transaction, predicate: Any
+) -> int:
+    """Batch-delete the matching rows and mark them dead in the image."""
+    matched = _matching(image, predicate)
+    table.delete_batch(txn, [image.row_ids[pos] for pos in matched])
+    for pos in matched:
+        image.mark_deleted(pos)
+    return len(matched)

@@ -1,22 +1,21 @@
-"""ColumnBatch: parallel per-column arrays with a per-window row-id space.
+"""ColumnBatch: a window's table image, one row tuple per position.
 
-The row-at-a-time apply path materialises a ``dict`` environment per row
-per statement; a :class:`ColumnBatch` instead holds one Python list per
-column, a validity vector (live / deleted-in-window), derived null masks,
-and — when the batch mirrors an engine table — the physical
-:class:`~repro.engine.rows.RowId` of each position.  Positions (indexes
-into the parallel arrays) form the *per-window row-id space*: every
-compiled kernel addresses rows by position, and converters map positions
-back to physical row ids at commit time.
+The row-at-a-time apply path re-scans the table for every statement; a
+:class:`ColumnBatch` instead holds the image of one scan: a row tuple per
+position, a validity vector (live / deleted-in-window) and -- when the
+batch mirrors an engine table -- the physical
+:class:`~repro.engine.rows.RowId` of each position.  Positions form the
+*per-window row-id space*: compiled kernels are called on the tuple at a
+position, and converters map positions back to physical row ids at
+commit time.
 
-Batches are built either from an engine table (one costed scan — the
-single scan then serves every statement of a conflict component) or from
-the literal rows of shippable Op-Delta windows.
+A batch is built from an engine table by one costed scan; that single
+scan then serves every statement of a conflict component.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.rows import RowId
@@ -24,18 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ColumnBatch:
-    """Parallel arrays per column, a validity vector, and row ids."""
+    """Row tuples per position, a validity vector, and row ids."""
 
-    __slots__ = ("column_names", "layout", "columns", "valid", "row_ids")
+    __slots__ = ("column_names", "tuples", "valid", "row_ids")
 
     def __init__(self, column_names: Sequence[str]) -> None:
+        #: Column names in slot order; kernels bind slots at compile time.
         self.column_names: tuple[str, ...] = tuple(column_names)
-        #: column name -> slot in :attr:`columns` (bound once; kernels
-        #: capture slots at compile time, never per row).
-        self.layout: dict[str, int] = {
-            name: slot for slot, name in enumerate(self.column_names)
-        }
-        self.columns: list[list[Any]] = [[] for _ in self.column_names]
+        #: The row tuple at each position.
+        self.tuples: list[tuple[Any, ...]] = []
         #: Per-position liveness: False once deleted within the window.
         self.valid: list[bool] = []
         #: Physical row id per position (None for rows not yet stored).
@@ -43,39 +39,20 @@ class ColumnBatch:
 
     # ------------------------------------------------------------ construction
     @classmethod
-    def from_rows(
-        cls,
-        column_names: Sequence[str],
-        rows: Iterable[Sequence[Any]],
-        row_ids: Iterable["RowId | None"] | None = None,
-    ) -> "ColumnBatch":
-        """Build a batch from positional rows (no cost charges)."""
-        batch = cls(column_names)
-        if row_ids is None:
-            for values in rows:
-                batch.append(values)
-        else:
-            for values, row_id in zip(rows, row_ids):
-                batch.append(values, row_id=row_id)
-        return batch
-
-    @classmethod
     def from_table(cls, table: "Table") -> "ColumnBatch":
-        """One costed scan of an engine table into column arrays.
+        """One costed scan of an engine table into the image.
 
         This is the only place the columnar path pays scan CPU: the
         resulting image then serves *every* statement of the component,
         where the row path re-scans per statement.
         """
         batch = cls(table.schema.column_names)
-        columns = batch.columns
-        append_valid = batch.valid.append
+        append_row = batch.tuples.append
         append_rid = batch.row_ids.append
         for row_id, values in table.scan():
-            for slot, value in enumerate(values):
-                columns[slot].append(value)
-            append_valid(True)
+            append_row(values)
             append_rid(row_id)
+        batch.valid = [True] * len(batch.tuples)
         return batch
 
     # ---------------------------------------------------------------- mutation
@@ -83,21 +60,19 @@ class ColumnBatch:
         self, values: Sequence[Any], row_id: "RowId | None" = None
     ) -> int:
         """Append one row; returns its position (window row id)."""
-        if len(values) != len(self.columns):
+        if len(values) != len(self.column_names):
             raise ValueError(
                 f"row width {len(values)} does not match batch width "
-                f"{len(self.columns)}"
+                f"{len(self.column_names)}"
             )
-        for slot, value in enumerate(values):
-            self.columns[slot].append(value)
+        self.tuples.append(tuple(values))
         self.valid.append(True)
         self.row_ids.append(row_id)
         return len(self.valid) - 1
 
     def set_row(self, position: int, values: Sequence[Any]) -> None:
-        """Overwrite a position with updated values (read-your-writes)."""
-        for slot, value in enumerate(values):
-            self.columns[slot][position] = value
+        """Replace a position's tuple with updated values (read-your-writes)."""
+        self.tuples[position] = tuple(values)
 
     def mark_deleted(self, position: int) -> None:
         self.valid[position] = False
@@ -112,39 +87,11 @@ class ColumnBatch:
     def live_count(self) -> int:
         return sum(1 for alive in self.valid if alive)
 
-    def live_positions(self) -> list[int]:
-        """Live positions in physical (scan/append) order."""
-        return [pos for pos, alive in enumerate(self.valid) if alive]
-
-    def row(self, position: int) -> tuple[Any, ...]:
-        return tuple(column[position] for column in self.columns)
-
-    def column(self, name: str) -> list[Any]:
-        return self.columns[self.layout[name]]
-
-    def null_mask(self, name: str) -> list[bool]:
-        """True where the named column is NULL (over all positions)."""
-        return [value is None for value in self.columns[self.layout[name]]]
-
-    def rows(self) -> list[tuple[Any, ...]]:
-        """All live rows, in position order."""
-        return [self.row(pos) for pos, alive in enumerate(self.valid) if alive]
-
     def __len__(self) -> int:
         return self.num_rows
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"ColumnBatch(columns={len(self.columns)}, rows={self.num_rows}, "
+            f"ColumnBatch(columns={len(self.column_names)}, rows={self.num_rows}, "
             f"live={self.live_count})"
         )
-
-
-def batch_from_insert_rows(
-    column_names: Sequence[str], literal_rows: Iterable[Mapping[str, Any]]
-) -> ColumnBatch:
-    """Convert evaluated INSERT rows (column->value mappings) to a batch."""
-    batch = ColumnBatch(column_names)
-    for mapping in literal_rows:
-        batch.append(tuple(mapping.get(name) for name in column_names))
-    return batch

@@ -65,7 +65,8 @@ from ..obs.metrics import NULL_REGISTRY, MetricsLike
 from ..obs.pipeline.context import ambient_pipeline
 from ..obs.pipeline.events import lineage_key
 from ..sql import ast_nodes as ast
-from ..sql.expressions import evaluate, is_true, referenced_columns
+from ..sql.compiler import StatementContext, compile_predicate, row_layout
+from ..sql.expressions import referenced_columns
 from .report import AbsorbedEdge, CompactionReport, ReorderObligation
 
 
@@ -402,16 +403,15 @@ class Coalescer:
         )
         if names is None or pk not in names:
             return False
-        rows: list[dict[str, Any]] = []
+        layout = row_layout(names)
+        rows: list[tuple[Any, ...]] = []
         for row in insert.rows:
             if len(row) != len(names) or not all(
                 isinstance(expr, ast.Literal) for expr in row
             ):
                 return False
-            rows.append(
-                {name: expr.value for name, expr in zip(names, row)}  # type: ignore[union-attr]
-            )
-        inserted_keys = {env[pk] for env in rows}
+            rows.append(tuple(expr.value for expr in row))  # type: ignore[attr-defined]
+        inserted_keys = {values[layout[pk]] for values in rows}
         # (1) Nothing *but* inserted rows can match: the DELETE's range
         # must pin the primary key to points inside the inserted key set.
         # Inserted keys were fresh at the source, so any row with such a
@@ -426,9 +426,10 @@ class Coalescer:
             return False
         # (2) Every inserted row must actually match: evaluate the real
         # predicate (exact, unlike the range superset) on each row.
-        for env in rows:
+        matches = compile_predicate(delete.where, layout, StatementContext())
+        for values in rows:
             try:
-                if not is_true(evaluate(delete.where, env)):
+                if not matches(values):
                     return False
             except SqlAnalysisError:
                 return False

@@ -7,7 +7,9 @@ layout is::
     [ null bitmap : ceil(ncols/8) bytes ][ col0 ][ col1 ] ... [ colN ]
 
 Null columns still occupy their full width (zero filled) so the record size
-is constant per table — matching the paper's "100-byte records".
+is constant per table — matching the paper's "100-byte records".  Each
+schema precompiles this layout as one :class:`struct.Struct`
+(``TableSchema.record_struct``), so a row is packed or unpacked in one call.
 """
 
 from __future__ import annotations
@@ -37,19 +39,19 @@ def encode_row(schema: TableSchema, values: Sequence[Any]) -> bytes:
             f"cannot encode {len(values)} values into {len(schema.columns)}-column "
             f"record for {schema.name!r}"
         )
-    bitmap = bytearray(schema.null_bitmap_bytes)
-    parts = [bytes(schema.null_bitmap_bytes)]  # placeholder, replaced below
-    body = []
-    for i, (column, value) in enumerate(zip(schema.columns, values)):
-        if value is None:
-            bitmap[i // 8] |= 1 << (i % 8)
-            body.append(bytes(column.datatype.width))
-        else:
-            body.append(column.datatype.encode(value))
-    parts[0] = bytes(bitmap)
-    record = b"".join(parts + body)
-    assert len(record) == schema.record_size
-    return record
+    fields = list(values)
+    for slot, width in schema.char_slots:
+        value = fields[slot]
+        if value is not None:
+            fields[slot] = value.encode("latin-1").ljust(width, b" ")
+    nulls = 0
+    if None in fields:
+        for slot, value in enumerate(fields):
+            if value is None:
+                nulls |= 1 << slot
+                fields[slot] = schema.null_fields[slot]
+    bitmap = nulls.to_bytes(schema.null_bitmap_bytes, "little")
+    return schema.record_struct.pack(bitmap, *fields)
 
 
 def decode_row(schema: TableSchema, record: bytes) -> tuple[Any, ...]:
@@ -59,16 +61,14 @@ def decode_row(schema: TableSchema, record: bytes) -> tuple[Any, ...]:
             f"record size {len(record)} does not match schema "
             f"{schema.name!r} ({schema.record_size} bytes)"
         )
-    bitmap = record[: schema.null_bitmap_bytes]
-    offset = schema.null_bitmap_bytes
-    values = []
-    for i, column in enumerate(schema.columns):
-        width = column.datatype.width
-        if bitmap[i // 8] & (1 << (i % 8)):
-            values.append(None)
-        else:
-            values.append(column.datatype.decode(record[offset : offset + width]))
-        offset += width
+    bitmap, *values = schema.record_struct.unpack(record)
+    for slot, _width in schema.char_slots:
+        values[slot] = values[slot].decode("latin-1").rstrip(" ")
+    nulls = int.from_bytes(bitmap, "little")
+    if nulls:
+        for slot in range(len(values)):
+            if nulls >> slot & 1:
+                values[slot] = None
     return tuple(values)
 
 

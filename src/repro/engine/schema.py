@@ -9,11 +9,12 @@ are all phrased in terms of "100-byte records".
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError
-from .types import DataType, TimestampType
+from .types import CharType, DataType, TimestampType
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,22 @@ class TableSchema:
         self._null_bitmap_bytes = (len(self.columns) + 7) // 8
         self.record_size = self._null_bitmap_bytes + sum(
             c.datatype.width for c in self.columns
+        )
+        #: The whole record as one precompiled struct: the null bitmap as
+        #: raw bytes, then every column in order (see ``engine.rows``).
+        self.record_struct = struct.Struct(
+            f">{self._null_bitmap_bytes}s"
+            + "".join(c.datatype.struct_code for c in self.columns)
+        )
+        #: ``(slot, width)`` of every CHAR column: stored as padded bytes.
+        self.char_slots: tuple[tuple[int, int], ...] = tuple(
+            (slot, c.datatype.width)
+            for slot, c in enumerate(self.columns)
+            if isinstance(c.datatype, CharType)
+        )
+        #: Per-slot packable stand-in for NULL (zero-filled storage).
+        self.null_fields: tuple[Any, ...] = tuple(
+            b"" if isinstance(c.datatype, CharType) else 0 for c in self.columns
         )
 
     # ------------------------------------------------------------------ access

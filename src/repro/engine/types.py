@@ -19,6 +19,8 @@ class DataType(ABC):
 
     #: SQL spelling used by DDL and ``repr``.
     name: str = "?"
+    #: :mod:`struct` format code of the encoded value (big-endian layout).
+    struct_code: str = "?"
 
     @property
     @abstractmethod
@@ -51,6 +53,7 @@ class IntegerType(DataType):
     """64-bit signed integer."""
 
     name = "INTEGER"
+    struct_code = "q"
     _codec = struct.Struct(">q")
 
     @property
@@ -75,6 +78,7 @@ class FloatType(DataType):
     """64-bit IEEE-754 float."""
 
     name = "FLOAT"
+    struct_code = "d"
     _codec = struct.Struct(">d")
 
     @property
@@ -114,6 +118,7 @@ class CharType(DataType):
             raise SchemaError(f"CHAR length must be positive, got {length}")
         self.length = length
         self.name = f"CHAR({length})"
+        self.struct_code = f"{length}s"
 
     @property
     def width(self) -> int:

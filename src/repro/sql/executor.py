@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from ..engine.database import Database
@@ -19,17 +20,16 @@ from ..engine.rows import RowId
 from ..engine.schema import Column, TableSchema
 from ..engine.table import InsertMode, Table
 from ..engine.transactions import Transaction
-from ..engine.types import type_from_sql
+from ..engine.types import CharType, DataType, type_from_sql
 from ..errors import SqlAnalysisError
 from . import ast_nodes as ast
-from .expressions import (
-    NOW_KEY,
-    RANDOM_KEY,
-    USER_KEY,
-    evaluate,
-    is_true,
-    split_conjuncts,
+from .compiler import (
+    CompiledScalar,
+    StatementContext,
+    compile_expression,
+    row_layout,
 )
+from .expressions import split_conjuncts
 
 #: Ranges matching more than this fraction of the table fall back to a scan.
 INDEX_SELECTIVITY_THRESHOLD = 0.05
@@ -67,8 +67,43 @@ class _AccessPath:
     row_ids: Iterable[RowId] | None  # None means full scan
 
 
+def _index_comparable(datatype: DataType, value: Any) -> bool:
+    """Whether the scan path could compare ``value`` with this column."""
+    if value is None:
+        return False
+    if isinstance(datatype, CharType):
+        return isinstance(value, str)
+    return isinstance(value, (int, float))
+
+
+def _concat_layout(
+    sources: list[tuple[str, TableSchema]],
+) -> tuple[dict[str, int], dict[str, range]]:
+    """Layout of the concatenated rows of ``(alias, schema)`` sources.
+
+    A later table's columns shadow an earlier one's under both the bare
+    and the qualified spelling; ``spans`` maps each alias to the slots of
+    its (last) table, which ``*`` expands to.
+    """
+    layout: dict[str, int] = {}
+    spans: dict[str, range] = {}
+    offset = 0
+    for alias, schema in sources:
+        for slot, name in enumerate(schema.column_names, offset):
+            layout[name] = slot
+            layout[f"{alias}.{name}"] = slot
+        spans[alias] = range(offset, offset + len(schema))
+        offset += len(schema)
+    return layout, spans
+
+
 class Executor:
-    """Executes parsed statements against one :class:`Database`."""
+    """Executes parsed statements against one :class:`Database`.
+
+    Every expression of a statement is compiled once per execution by
+    :mod:`repro.sql.compiler`, against the slot layout of the rows the
+    engine yields, and then called on those row tuples directly.
+    """
 
     def __init__(self, database: Database) -> None:
         self._db = database
@@ -76,17 +111,15 @@ class Executor:
         # stay deterministic, while the value still depends on how many
         # draws preceded it — exactly the volatility the analyzer flags.
         self._rng = random.Random(0x5EED)
-        self._stmt_env: dict[str, Any] = {}
+        self._context = StatementContext()
 
     # ------------------------------------------------------------------ entry
     def execute(self, statement: ast.Statement, txn: Transaction) -> Result:
         # Session context for volatile functions, fixed per statement:
         # NOW() is the statement's virtual start time (SQL semantics).
-        self._stmt_env = {
-            NOW_KEY: self._db.clock.now,
-            RANDOM_KEY: self._rng.random,
-            USER_KEY: self._db.name,
-        }
+        self._context = StatementContext(
+            now=self._db.clock.now, user=self._db.name, random=self._rng.random
+        )
         if isinstance(statement, ast.SelectStmt):
             return self._select(statement)
         if isinstance(statement, ast.InsertStmt):
@@ -110,44 +143,57 @@ class Executor:
             "(transaction-control statements are handled by the session)"
         )
 
+    def _compile(self, expr: ast.Expression, layout: dict[str, int]) -> CompiledScalar:
+        return compile_expression(expr, layout, self._context)
+
+    def _constant(self, expr: ast.Expression) -> Any:
+        """Evaluate an expression with no row columns in scope."""
+        return self._compile(expr, {})(())
+
     # ----------------------------------------------------------------- SELECT
     def _select(self, stmt: ast.SelectStmt) -> Result:
         if stmt.table is None:
             # Constant SELECT (e.g. SELECT 1 + 1): no row columns in scope.
-            row = tuple(
-                evaluate(item.expr, self._stmt_env) for item in stmt.items
-            )
+            row = tuple(self._constant(item.expr) for item in stmt.items)
             columns = [self._item_name(item) for item in stmt.items]
             return Result(columns=columns, rows=[row], plan="const")
 
         base = self._db.table(stmt.table)
         base_alias = stmt.alias or stmt.table
         path = self._choose_path(base, base_alias, stmt.where)
-        envs = self._table_rows(base, base_alias, path)
+        rows: Iterable[tuple[Any, ...]] = (
+            values for _row_id, values in self._read(base, path)
+        )
         plan_parts = [f"{stmt.table}:{path.description}"]
 
+        # A join's rows are the concatenated tuples of its tables.
+        sources = [(base_alias, base.schema)]
         for join in stmt.joins:
             right = self._db.table(join.table)
             right_alias = join.alias or join.table
-            envs = self._hash_join(envs, base_alias, right, right_alias, join)
+            left_layout, _spans = _concat_layout(sources)
+            rows = self._hash_join(rows, left_layout, right, right_alias, join)
+            sources.append((right_alias, right.schema))
             plan_parts.append(f"join({join.table}:hash)")
+        layout, spans = _concat_layout(sources)
 
         if stmt.where is not None:
-            envs = (env for env in envs if is_true(evaluate(stmt.where, env)))
+            keep = self._compile(stmt.where, layout)
+            rows = (row for row in rows if keep(row) is True)
 
         aggregated = any(
             isinstance(item.expr, ast.Aggregate) for item in stmt.items
         ) or bool(stmt.group_by)
         if aggregated:
-            rows, columns = self._aggregate(stmt, envs)
+            result_rows, columns = self._aggregate(stmt, rows, layout)
         else:
-            rows, columns = self._project(stmt, envs, base, base_alias)
+            result_rows, columns = self._project(stmt, rows, sources, layout, spans)
 
         if stmt.order_by:
-            rows = self._order(rows, columns, stmt)
+            result_rows = self._order(result_rows, columns, stmt)
         if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        return Result(columns=columns, rows=rows, plan=" ".join(plan_parts))
+            result_rows = result_rows[: stmt.limit]
+        return Result(columns=columns, rows=result_rows, plan=" ".join(plan_parts))
 
     def _choose_path(
         self, table: Table, alias: str, where: ast.Expression | None
@@ -185,7 +231,12 @@ class Executor:
     def _simple_comparison(
         self, expr: ast.Expression, table: Table, alias: str
     ) -> tuple[str, str, Any] | None:
-        """Match ``column OP literal`` (either operand order) on this table."""
+        """Match ``column OP literal`` (either operand order) on this table.
+
+        Only a literal the scan could compare with the column qualifies:
+        NULL matches nothing, and a type mismatch must raise the scan
+        path's error, so neither may reach an index.
+        """
         if not isinstance(expr, ast.BinaryOp):
             return None
         if expr.op not in ("=", "<", "<=", ">", ">="):
@@ -204,38 +255,43 @@ class Executor:
                 continue
             if not table.schema.has_column(column_side.name):
                 continue
+            datatype = table.schema.column(column_side.name).datatype
+            if not _index_comparable(datatype, value_side.value):
+                continue
             return column_side.name, op, value_side.value
         return None
 
-    def _table_rows(
-        self, table: Table, alias: str, path: _AccessPath
-    ) -> Iterator[dict[str, Any]]:
+    @staticmethod
+    def _read(
+        table: Table, path: _AccessPath
+    ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
+        """``(row id, values)`` of every row on the access path, lazily."""
         if path.row_ids is None:
-            for _row_id, values in table.scan():
-                yield self._env(table.schema, alias, values)
-        else:
-            for row_id in path.row_ids:
-                values = table.read(row_id)
-                yield self._env(table.schema, alias, values)
+            return table.scan()
+        return ((row_id, table.read(row_id)) for row_id in path.row_ids)
 
-    def _env(
-        self, schema: TableSchema, alias: str, values: tuple[Any, ...]
-    ) -> dict[str, Any]:
-        env: dict[str, Any] = dict(self._stmt_env)
-        for name, value in zip(schema.column_names, values):
-            env[name] = value
-            env[f"{alias}.{name}"] = value
-        env[f"__row__{alias}"] = values
-        return env
+    def _matches(
+        self,
+        table: Table,
+        path: _AccessPath,
+        where: ast.Expression | None,
+        layout: dict[str, int],
+    ) -> list[tuple[RowId, tuple[Any, ...]]]:
+        """``(row id, values)`` of every row on the path satisfying ``where``."""
+        rows = self._read(table, path)
+        if where is None:
+            return list(rows)
+        keep = self._compile(where, layout)
+        return [(row_id, values) for row_id, values in rows if keep(values) is True]
 
     def _hash_join(
         self,
-        left_envs: Iterable[dict[str, Any]],
-        base_alias: str,
+        left_rows: Iterable[tuple[Any, ...]],
+        left_layout: dict[str, int],
         right: Table,
         right_alias: str,
         join: ast.Join,
-    ) -> Iterator[dict[str, Any]]:
+    ) -> Iterator[tuple[Any, ...]]:
         left_key, right_key = self._join_sides(join, right_alias)
         build: dict[Any, list[tuple[Any, ...]]] = {}
         key_position = right.schema.column_index(right_key.name)
@@ -243,13 +299,11 @@ class Executor:
             build.setdefault(values[key_position], []).append(values)
         probe_cpu = self._db.costs.row_scan_cpu
         clock = self._db.clock
-        for env in left_envs:
+        probe_key = self._compile(left_key, left_layout)
+        for row in left_rows:
             clock.advance(probe_cpu)
-            key = evaluate(left_key, env)
-            for values in build.get(key, ()):
-                merged = dict(env)
-                merged.update(self._env(right.schema, right_alias, values))
-                yield merged
+            for values in build.get(probe_key(row), ()):
+                yield row + values
 
     @staticmethod
     def _join_sides(join: ast.Join, right_alias: str) -> tuple[ast.ColumnRef, ast.ColumnRef]:
@@ -266,33 +320,28 @@ class Executor:
     def _project(
         self,
         stmt: ast.SelectStmt,
-        envs: Iterable[dict[str, Any]],
-        base: Table,
-        base_alias: str,
+        rows: Iterable[tuple[Any, ...]],
+        sources: list[tuple[str, TableSchema]],
+        layout: dict[str, int],
+        spans: dict[str, range],
     ) -> tuple[list[tuple[Any, ...]], list[str]]:
-        star_aliases = [base_alias] + [j.alias or j.table for j in stmt.joins]
-        star_schemas = [base.schema] + [self._db.table(j.table).schema for j in stmt.joins]
         columns: list[str] = []
+        getters: list[CompiledScalar] = []
         for item in stmt.items:
             if isinstance(item.expr, ast.Star):
-                for schema in star_schemas:
+                for alias, schema in sources:
                     columns.extend(schema.column_names)
+                    getters.extend(map(itemgetter, spans[alias]))
             else:
                 columns.append(self._item_name(item))
-        rows = []
-        for env in envs:
-            out: list[Any] = []
-            for item in stmt.items:
-                if isinstance(item.expr, ast.Star):
-                    for alias in star_aliases:
-                        out.extend(env[f"__row__{alias}"])
-                else:
-                    out.append(evaluate(item.expr, env))
-            rows.append(tuple(out))
-        return rows, columns
+                getters.append(self._compile(item.expr, layout))
+        return [tuple([get(row) for get in getters]) for row in rows], columns
 
     def _aggregate(
-        self, stmt: ast.SelectStmt, envs: Iterable[dict[str, Any]]
+        self,
+        stmt: ast.SelectStmt,
+        rows: Iterable[tuple[Any, ...]],
+        layout: dict[str, int],
     ) -> tuple[list[tuple[Any, ...]], list[str]]:
         for item in stmt.items:
             if not isinstance(item.expr, (ast.Aggregate, ast.ColumnRef)):
@@ -306,36 +355,43 @@ class Executor:
                     raise SqlAnalysisError(
                         f"column {item.expr.name!r} must appear in GROUP BY"
                     )
-        groups: dict[tuple, list[dict[str, Any]]] = {}
-        for env in envs:
-            key = tuple(evaluate(ref, env) for ref in stmt.group_by)
-            groups.setdefault(key, []).append(env)
+        key_of = [self._compile(ref, layout) for ref in stmt.group_by]
+        groups: dict[tuple, list[tuple[Any, ...]]] = {}
+        for row in rows:
+            key = tuple([get(row) for get in key_of])
+            groups.setdefault(key, []).append(row)
         if not stmt.group_by and not groups:
             groups[()] = []  # global aggregate over an empty input
         columns = [self._item_name(item) for item in stmt.items]
-        rows = []
+        arguments = [
+            self._compile(item.expr.argument, layout)
+            if isinstance(item.expr, ast.Aggregate) and item.expr.argument is not None
+            else None
+            for item in stmt.items
+        ]
+        result = []
         for key, members in groups.items():
             out: list[Any] = []
-            for item in stmt.items:
+            for item, argument in zip(stmt.items, arguments):
                 if isinstance(item.expr, ast.Aggregate):
-                    out.append(self._aggregate_value(item.expr, members))
+                    out.append(self._aggregate_value(item.expr, argument, members))
                 else:
                     position = [ref.name for ref in stmt.group_by].index(
                         item.expr.name  # type: ignore[union-attr]
                     )
                     out.append(key[position])
-            rows.append(tuple(out))
-        return rows, columns
+            result.append(tuple(out))
+        return result, columns
 
     @staticmethod
-    def _aggregate_value(agg: ast.Aggregate, members: list[dict[str, Any]]) -> Any:
-        if agg.argument is None:
+    def _aggregate_value(
+        agg: ast.Aggregate,
+        argument: CompiledScalar | None,
+        members: list[tuple[Any, ...]],
+    ) -> Any:
+        if argument is None:
             return len(members)
-        values = [
-            evaluate(agg.argument, env)
-            for env in members
-        ]
-        values = [v for v in values if v is not None]
+        values = [value for value in map(argument, members) if value is not None]
         if agg.function == "COUNT":
             return len(values)
         if not values:
@@ -400,9 +456,7 @@ class Executor:
         mode = InsertMode.BULK_CLIENT if len(stmt.rows) > 1 else InsertMode.STATEMENT
         count = 0
         for expr_row in stmt.rows:
-            literal_row = tuple(
-                evaluate(expr, self._stmt_env) for expr in expr_row
-            )
+            literal_row = tuple(self._constant(expr) for expr in expr_row)
             values = self._arrange(table.schema, stmt.columns, literal_row)
             table.insert(txn, values, mode=mode)
             count += 1
@@ -424,42 +478,24 @@ class Executor:
         table = self._db.table(stmt.table)
         alias = stmt.table
         path = self._choose_path(table, alias, stmt.where)
-        matches: list[tuple[RowId, dict[str, Any]]] = []
-        if path.row_ids is None:
-            for row_id, values in table.scan():
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append((row_id, env))
-        else:
-            for row_id in path.row_ids:
-                values = table.read(row_id)
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append((row_id, env))
-        for row_id, env in matches:
-            assignments = {
-                a.column: evaluate(a.expr, env) for a in stmt.assignments
-            }
-            table.update(txn, row_id, assignments)
+        layout = row_layout(table.schema.column_names, (alias,))
+        matches = self._matches(table, path, stmt.where, layout)
+        assignments = [
+            (a.column, self._compile(a.expr, layout)) for a in stmt.assignments
+        ]
+        for row_id, values in matches:
+            table.update(
+                txn, row_id, {column: get(values) for column, get in assignments}
+            )
         return Result(rows_affected=len(matches), plan=f"update:{path.description}")
 
     def _delete(self, stmt: ast.DeleteStmt, txn: Transaction) -> Result:
         table = self._db.table(stmt.table)
         alias = stmt.table
         path = self._choose_path(table, alias, stmt.where)
-        matches: list[RowId] = []
-        if path.row_ids is None:
-            for row_id, values in table.scan():
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append(row_id)
-        else:
-            for row_id in path.row_ids:
-                values = table.read(row_id)
-                env = self._env(table.schema, alias, values)
-                if stmt.where is None or is_true(evaluate(stmt.where, env)):
-                    matches.append(row_id)
-        for row_id in matches:
+        layout = row_layout(table.schema.column_names, (alias,))
+        matches = self._matches(table, path, stmt.where, layout)
+        for row_id, _values in matches:
             table.delete(txn, row_id)
         return Result(rows_affected=len(matches), plan=f"delete:{path.description}")
 

@@ -225,9 +225,8 @@ def _func_call(expr: ast.FuncCall, env: Mapping[str, Any]) -> Any:
 def apply_scalar_function(name: str, args: list[Any]) -> Any:
     """Apply a *pure* scalar function to already-evaluated arguments.
 
-    Shared between the tree-walking evaluator and the columnar closure
-    compiler (:mod:`repro.columnar.kernels`) so both paths agree on
-    every edge case.  Volatile functions (NOW, RANDOM, session user)
+    Shared between the tree-walking evaluator and the closure compiler
+    (:mod:`repro.sql.compiler`) so both agree on every edge case.  Volatile functions (NOW, RANDOM, session user)
     never reach here — they need session context and are handled by the
     caller.
     """
@@ -279,9 +278,9 @@ def _check_comparable(left: Any, right: Any, op: str) -> None:
     )
 
 
-# Public seams for the columnar closure compiler: the compiled kernels
-# must reproduce this module's three-valued logic bit-for-bit, so they
-# call the *same* helpers instead of re-implementing them.
+# Public seams for the closure compiler (:mod:`repro.sql.compiler`): the
+# compiled closures must reproduce this module's three-valued logic
+# exactly, so they call the *same* helpers instead of re-implementing them.
 sql_truth = _truth
 check_comparable = _check_comparable
 like_regex = _like_regex

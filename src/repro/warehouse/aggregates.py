@@ -33,7 +33,13 @@ from ..engine.types import FLOAT, INTEGER
 from ..errors import EngineError, SelfMaintenanceError, WarehouseError
 from ..extraction.deltas import ChangeKind, DeltaRecord
 from ..sql import ast_nodes as ast
-from ..sql.expressions import evaluate, is_true
+from ..sql.compiler import (
+    StatementContext,
+    compile_assignments,
+    compile_predicate,
+    row_layout,
+)
+from ..sql.expressions import evaluate
 from ..sql.parser import parse_expression
 
 #: Aggregate functions that are self-maintainable under insert+delete.
@@ -112,7 +118,11 @@ class MaterializedAggregateView:
         self.definition = definition
         self.base_schema = base_schema
         self._base_columns = base_schema.column_names
-        self._predicate = definition.predicate_ast()
+        self._base_layout = row_layout(self._base_columns)
+        # The fixed predicate, compiled once (no session, as for views).
+        self._keep = compile_predicate(
+            definition.predicate_ast(), self._base_layout, StatementContext()
+        )
         for name in definition.group_by:
             base_schema.column(name)  # validates
         for spec in definition.aggregates:
@@ -236,12 +246,11 @@ class MaterializedAggregateView:
             return
         statement = op.statement
         assert isinstance(statement, ast.UpdateStmt)
+        assign = compile_assignments(
+            statement.assignments, self._base_layout, StatementContext()
+        )
         for before in op.before_image:
-            env = dict(zip(self._base_columns, before))
-            after_map = dict(env)
-            for assignment in statement.assignments:
-                after_map[assignment.column] = evaluate(assignment.expr, env)
-            after = tuple(after_map[name] for name in self._base_columns)
+            after = assign(before)
             self._remove_row(before, txn)
             self._add_row(after, txn)
 
@@ -260,10 +269,7 @@ class MaterializedAggregateView:
         return rows
 
     def _qualifies(self, row: Sequence[Any]) -> bool:
-        if self._predicate is None:
-            return True
-        env = dict(zip(self._base_columns, row))
-        return is_true(evaluate(self._predicate, env))
+        return self._keep(row)
 
     def _contribution(self, spec: AggregateSpec, row: Sequence[Any]) -> float | None:
         if spec.argument is None:

@@ -16,7 +16,7 @@ base table — the equivalence the property tests check.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.opdelta import OpDelta, OpKind
 from ..core.selfmaint import Maintainability, ViewDefinition, classify_operation
@@ -29,8 +29,14 @@ from ..engine.table import InsertMode, Table
 from ..engine.transactions import Transaction
 from ..errors import WarehouseError
 from ..sql import ast_nodes as ast
+from ..sql.compiler import (
+    StatementContext,
+    compile_assignments,
+    compile_predicate,
+    row_layout,
+)
 from ..sql.executor import Executor
-from ..sql.expressions import evaluate, is_true
+from ..sql.expressions import evaluate
 
 
 class MaterializedView:
@@ -57,7 +63,17 @@ class MaterializedView:
         self.definition = definition
         self.base_schema = base_schema
         self._base_columns = base_schema.column_names
+        self._base_layout = row_layout(self._base_columns)
         self._predicate = definition.predicate_ast()
+        # Rows are tested against the fixed predicate through one closure
+        # compiled here.  No session: as for the interpreter over a bare
+        # row, a volatile function raises when it is evaluated.
+        self._keep = compile_predicate(
+            self._predicate, self._base_layout, StatementContext()
+        )
+        self._projected_slots = tuple(
+            self._base_layout[name] for name in definition.columns
+        )
         self._key = definition.key_column
         if self._key is not None and self._key not in base_schema.column_names:
             raise WarehouseError(
@@ -222,12 +238,11 @@ class MaterializedView:
         assert op.kind is OpKind.UPDATE
         stmt = op.statement
         assert isinstance(stmt, ast.UpdateStmt)
+        assign = compile_assignments(
+            stmt.assignments, self._base_layout, StatementContext()
+        )
         for before in op.before_image:
-            env = dict(zip(self._base_columns, before))
-            after_map = dict(env)
-            for assignment in stmt.assignments:
-                after_map[assignment.column] = evaluate(assignment.expr, env)
-            after = tuple(after_map[name] for name in self._base_columns)
+            after = assign(before)
             was_in = self._qualifies(before)
             now_in = self._qualifies(after)
             if was_in:
@@ -292,19 +307,13 @@ class MaterializedView:
 
     # --------------------------------------------------------------- plumbing
     def _qualifies(self, row: tuple[Any, ...] | None) -> bool:
-        if row is None:
-            return False
-        if self._predicate is None:
-            return True
-        env = dict(zip(self._base_columns, row))
-        return is_true(evaluate(self._predicate, env))
+        return row is not None and self._keep(row)
 
     def _project(self, row: tuple[Any, ...]) -> tuple[Any, ...]:
-        env: Mapping[str, Any] = dict(zip(self._base_columns, row))
-        projected = [env[name] for name in self.definition.columns]
+        projected = [row[slot] for slot in self._projected_slots]
         join = self.definition.join
         if join is not None and join.columns:
-            dim_values = self._dim_lookup(env[join.left_column])
+            dim_values = self._dim_lookup(row[self._base_layout[join.left_column]])
             for name in join.columns:
                 dim_schema = self._db.table(join.table).schema
                 projected.append(

@@ -1,6 +1,6 @@
 """Property-based tests: row codec, ASCII format, SQL literal round trips."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.rows import decode_row, encode_row, format_ascii, parse_ascii
@@ -9,6 +9,8 @@ from repro.engine.types import FLOAT, INTEGER, TIMESTAMP, char
 from repro.sql.ast_nodes import sql_literal
 from repro.sql.parser import parse_expression
 
+# Ten columns: a 2-byte null bitmap, so NULLs past column 8 exercise its
+# second byte.  CHAR(4) is small enough that full-width values are common.
 SCHEMA = TableSchema(
     "t",
     [
@@ -17,6 +19,11 @@ SCHEMA = TableSchema(
         Column("price", FLOAT),
         Column("ts", TIMESTAMP),
         Column("qty", INTEGER),
+        Column("code", char(4)),
+        Column("weight", FLOAT),
+        Column("note", char(8)),
+        Column("rank", INTEGER),
+        Column("tag", char(4)),
     ],
     primary_key="id",
 )
@@ -27,23 +34,55 @@ _char_text = st.text(
     max_size=20,
 ).map(lambda s: s.rstrip(" "))
 
+
+def _char(width: int) -> st.SearchStrategy:
+    """CHAR(width) values: NULL, the empty string, full width, or anything."""
+    text = st.text(
+        alphabet=st.characters(min_codepoint=33, max_codepoint=255),
+        min_size=width,
+        max_size=width,
+    )
+    return st.one_of(st.none(), st.just(""), text, _char_text.map(lambda s: s[:width]))
+
+
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 _rows = st.tuples(
-    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    _ints,
     st.one_of(st.none(), _char_text),
     st.one_of(st.none(), _floats),
     st.one_of(st.none(), _floats),
-    st.one_of(st.none(), st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+    st.one_of(st.none(), _ints),
+    _char(4),
+    st.one_of(st.none(), _floats),
+    _char(8),
+    st.one_of(st.none(), _ints),
+    _char(4),
 )
 
 
+def test_schema_needs_a_two_byte_null_bitmap():
+    assert len(SCHEMA) >= 9
+    assert SCHEMA.null_bitmap_bytes == 2
+
+
 @given(_rows)
+# The empty string is stored as all spaces, not as NULL's zero fill.
+@example((1, "", None, None, None, "", None, "", None, None))
+# Full-width CHARs next to a NULL in the bitmap's second byte.
+@example((2, "x" * 20, 1.5, 2.5, 3, "abcd", 6.5, "12345678", None, "wxyz"))
+@example((3, None, None, None, None, None, None, None, None, ""))
 def test_binary_codec_roundtrip(row):
     validated = SCHEMA.validate_values(row)
     record = encode_row(SCHEMA, validated)
     assert len(record) == SCHEMA.record_size
     assert decode_row(SCHEMA, record) == validated
+    # The bitmap flags exactly the NULL slots, the second byte included.
+    nulls = int.from_bytes(record[: SCHEMA.null_bitmap_bytes], "little")
+    assert [bool(nulls >> slot & 1) for slot in range(len(row))] == [
+        value is None for value in validated
+    ]
 
 
 @given(_rows)
