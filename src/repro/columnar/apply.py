@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from ..core.selfmaint import insert_rows
 from ..engine.session import Session
 from ..engine.table import Table
 from ..engine.transactions import Transaction
-from ..errors import SqlAnalysisError
+from ..errors import SqlAnalysisError, WarehouseError
 from ..sql import ast_nodes as ast
 from ..sql.compiler import (
     CompileBarrier,
@@ -37,7 +38,6 @@ from ..sql.compiler import (
     compile_predicate,
     row_layout,
 )
-from ..sql.expressions import evaluate
 from .batch import ColumnBatch
 from .kernels import KernelCache
 
@@ -275,20 +275,12 @@ class ColumnarApplier:
             factory,
         )
         self._dispatch()
-        # Base rows exactly as the row path computes them (same evaluator,
-        # same width check, same columns mapping with NULL for absences).
-        base_rows: list[tuple[Any, ...]] = []
-        for expr_row in stmt.rows:
-            values = tuple(evaluate(expr, {}) for expr in expr_row)
-            if stmt.columns is not None:
-                mapping = dict(zip(stmt.columns, values))
-                base_rows.append(
-                    tuple(mapping.get(name) for name in base_columns)
-                )
-            elif len(values) != len(base_columns):
-                raise CompileBarrier("INSERT width mismatch: row path raises")
-            else:
-                base_rows.append(values)
+        # Base rows through the row path's own helper; a width mismatch
+        # replays on the row path, which raises the view's error.
+        try:
+            base_rows = insert_rows(stmt, base_columns)
+        except WarehouseError:
+            raise CompileBarrier("INSERT width mismatch: row path raises") from None
         projected = [
             tuple(row[slot] for slot in project)
             for row in base_rows

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
-from ..errors import SelfMaintenanceError
+from ..errors import SelfMaintenanceError, WarehouseError
 from ..sql import ast_nodes as ast
+from ..sql.compiler import StatementContext, compile_expression
 from ..sql.expressions import referenced_columns
 from ..sql.parser import parse_expression
 from .opdelta import OpDelta, OpKind
@@ -153,6 +154,36 @@ def classify_operation(view: ViewDefinition, op: OpDelta) -> Maintainability:
     if everything_visible and not membership_affected:
         return Maintainability.OP_ONLY
     return Maintainability.NEEDS_BEFORE_IMAGE
+
+
+def insert_rows(
+    stmt: ast.InsertStmt, base_columns: Sequence[str]
+) -> list[tuple[Any, ...]]:
+    """The base-table rows an ``INSERT ... VALUES`` carries.
+
+    Values are evaluated by the compiler with no columns and no session
+    in scope; a column list maps them by name, absent columns becoming
+    NULL.  A row whose width differs from the column list (or, without
+    one, from the base table) raises :class:`WarehouseError` before any
+    row is returned, so a caller changes nothing.
+    """
+    if stmt.columns is None:
+        width, target = len(base_columns), f"base table {stmt.table!r}"
+    else:
+        width, target = len(stmt.columns), f"its {len(stmt.columns)} named columns"
+    context = StatementContext()
+    rows = []
+    for expr_row in stmt.rows:
+        if len(expr_row) != width:
+            raise WarehouseError(
+                f"INSERT row width {len(expr_row)} does not match {target}"
+            )
+        values = tuple(compile_expression(expr, {}, context)(()) for expr in expr_row)
+        if stmt.columns is not None:
+            mapping = dict(zip(stmt.columns, values))
+            values = tuple(mapping.get(name) for name in base_columns)
+        rows.append(values)
+    return rows
 
 
 def classify_static(view: ViewDefinition, kind: OpKind) -> Maintainability:

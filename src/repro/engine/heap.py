@@ -110,17 +110,25 @@ class HeapFile:
             self._pages_with_space.remove(page_no)
         self._num_records += 1
 
-    def scan(self) -> Iterator[tuple[RowId, bytes]]:
-        """Yield every live record in page/slot order.
+    def scan_pages(self) -> Iterator[tuple[int, list[bytes | None]]]:
+        """Yield ``(page number, records by slot)`` for every page in order.
 
-        The page list is snapshotted up front so a concurrent append (e.g. a
-        statement inserting into the table it reads, as INSERT..SELECT does)
-        does not revisit its own output.
+        A free slot holds ``None``.  The page list is snapshotted up front
+        and each page's slots when the page is fetched, so a concurrent
+        append (e.g. a statement inserting into the table it reads, as
+        INSERT..SELECT does) does not revisit its own output.  Pages are
+        fetched lazily, one per resume, so the buffer pool's charges
+        interleave with whatever the caller charges per record.
         """
         for page_no in list(self._page_nos):
-            page = self._pool.fetch(page_no)
-            for slot_no, record in list(page.occupied_slots()):
-                yield RowId(page_no, slot_no), record
+            yield page_no, self._pool.fetch(page_no).records()
+
+    def scan(self) -> Iterator[tuple[RowId, bytes]]:
+        """Yield every live record in page/slot order (see :meth:`scan_pages`)."""
+        for page_no, records in self.scan_pages():
+            for slot_no, record in enumerate(records):
+                if record is not None:
+                    yield RowId(page_no, slot_no), record
 
     def truncate(self) -> int:
         """Drop every page; returns the number of records removed."""

@@ -106,6 +106,10 @@ class Page:
             self._free_hint = slot_no
         return record
 
+    def records(self) -> list[bytes | None]:
+        """A snapshot of every slot's record, ``None`` for a free slot."""
+        return list(self._slots)
+
     def occupied_slots(self) -> Iterator[tuple[int, bytes]]:
         """Yield ``(slot_no, record)`` for every live record in slot order."""
         for slot_no, record in enumerate(self._slots):

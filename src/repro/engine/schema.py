@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SchemaError
 from .types import CharType, DataType, TimestampType
@@ -111,6 +111,9 @@ class TableSchema:
         self.null_fields: tuple[Any, ...] = tuple(
             b"" if isinstance(c.datatype, CharType) else 0 for c in self.columns
         )
+        self._column_decoders: dict[
+            tuple[int, ...], Callable[[bytes], tuple[Any, ...]]
+        ] = {}
 
     # ------------------------------------------------------------------ access
     def __len__(self) -> int:
@@ -146,6 +149,68 @@ class TableSchema:
         if self.primary_key is None:
             return None
         return self._index_of[self.primary_key]
+
+    # ------------------------------------------------------------ partial codec
+    def column_decoder(
+        self, slots: tuple[int, ...]
+    ) -> Callable[[bytes], tuple[Any, ...]]:
+        """A decoder of only the columns at ``slots`` (ascending, distinct).
+
+        It returns those columns' values in slot order, exactly as
+        :func:`repro.engine.rows.decode_row` would give them, without
+        decoding the rest of the record: one cached :class:`struct.Struct`
+        per subset unpacks the null bitmap and the chosen columns and skips
+        the others as pad bytes.  NULL comes from the chosen slots' bitmap
+        bits; CHAR columns are decoded and stripped only when chosen.
+        """
+        decoder = self._column_decoders.get(slots)
+        if decoder is None:
+            decoder = self._column_decoders[slots] = self._make_decoder(slots)
+        return decoder
+
+    def _make_decoder(
+        self, slots: tuple[int, ...]
+    ) -> Callable[[bytes], tuple[Any, ...]]:
+        if list(slots) != sorted(set(slots)) or not all(
+            0 <= slot < len(self.columns) for slot in slots
+        ):
+            raise SchemaError(
+                f"column slots {slots!r} of {self.name!r} must be distinct, "
+                "ascending and in range"
+            )
+        chosen = set(slots)
+        unpack = struct.Struct(
+            f">{self._null_bitmap_bytes}s"
+            + "".join(
+                c.datatype.struct_code if slot in chosen else f"{c.datatype.width}x"
+                for slot, c in enumerate(self.columns)
+            )
+        ).unpack
+        chars = tuple(
+            position
+            for position, slot in enumerate(slots, 1)
+            if isinstance(self.columns[slot].datatype, CharType)
+        )
+        bits = tuple((position, 1 << slot) for position, slot in enumerate(slots, 1))
+        mask = sum(1 << slot for slot in slots)
+        from_bytes = int.from_bytes
+
+        def decode(record: bytes) -> tuple[Any, ...]:
+            # values[0] is the bitmap; the chosen columns follow it.
+            values = unpack(record)
+            nulls = from_bytes(values[0], "little") & mask
+            if not (nulls or chars):
+                return values[1:]
+            fields = list(values)
+            for position in chars:
+                fields[position] = fields[position].decode("latin-1").rstrip(" ")
+            if nulls:
+                for position, bit in bits:
+                    if nulls & bit:
+                        fields[position] = None
+            return tuple(fields[1:])
+
+        return decode
 
     # --------------------------------------------------------------- validation
     def validate_values(self, values: Sequence[Any]) -> tuple[Any, ...]:

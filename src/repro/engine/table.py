@@ -15,7 +15,7 @@ This module is where the paper's measured effects are produced:
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..clock import VirtualClock
 from ..errors import CatalogError, ConstraintError, SchemaError
@@ -29,6 +29,10 @@ from .schema import TableSchema
 from .transactions import Transaction
 from .triggers import TriggerContext, TriggerEvent, TriggerSet, TriggerTiming
 from .wal import LogManager, LogRecordKind
+
+#: A filter pushed into :meth:`Table.scan`: ascending column slots, and a
+#: predicate over the tuple of those columns' values (kept iff ``True``).
+ScanPredicate = tuple[Sequence[int], Callable[[tuple[Any, ...]], Any]]
 
 
 class InsertMode(enum.Enum):
@@ -393,17 +397,55 @@ class Table:
         """Fetch one row by physical id."""
         return decode_row(self.schema, self._heap.read(row_id))
 
-    def scan(self) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
-        """Full scan in physical order, charging per-row scan CPU."""
+    def scan(
+        self, where: ScanPredicate | None = None
+    ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
+        """Full scan in physical order, charging per-row scan CPU.
+
+        ``where`` pushes a row filter into the scan: a pair ``(columns,
+        predicate)`` of ascending column slots and a callable over the
+        tuple of just those columns' values.  Each record is decoded only
+        at ``columns`` (:meth:`TableSchema.column_decoder`); a row is
+        yielded, fully decoded, only when ``predicate`` returns ``True``
+        (SQL truth: NULL and False both reject).  A predicate over every
+        column decodes each record once.  The contract is that of
+        filtering an unfiltered scan:
+
+        * every examined row is charged ``row_scan_cpu`` and counted in
+          ``engine.table.rows_scanned``, interleaved with the heap's page
+          fetches exactly as without ``where``;
+        * rows come in physical order, and the predicate runs on one row
+          at a time: a match is yielded before the next row's predicate
+          runs, so a consumer's side effects (``RANDOM()`` draws, clock
+          charges) interleave with the predicate's as they would after
+          the scan;
+        * an error the predicate raises comes out at the row that raised it.
+        """
         advance = self._clock.advance
         scan_cpu = self._costs.row_scan_cpu
         schema = self.schema
+        keep = decode = None
+        if where is not None:
+            columns, keep = where
+            if len(columns) < len(schema):
+                decode = schema.column_decoder(tuple(columns))
         scanned = 0
         try:
-            for row_id, record in self._heap.scan():
-                advance(scan_cpu)
-                scanned += 1
-                yield row_id, decode_row(schema, record)
+            for page_no, records in self._heap.scan_pages():
+                for slot_no, record in enumerate(records):
+                    if record is None:
+                        continue
+                    advance(scan_cpu)
+                    scanned += 1
+                    if keep is None:
+                        yield RowId(page_no, slot_no), decode_row(schema, record)
+                    elif decode is not None:
+                        if keep(decode(record)) is True:
+                            yield RowId(page_no, slot_no), decode_row(schema, record)
+                    else:
+                        values = decode_row(schema, record)
+                        if keep(values) is True:
+                            yield RowId(page_no, slot_no), values
         finally:
             # One metrics update per scan, not per row, keeps the hot path
             # at a local integer bump even for million-row scans.

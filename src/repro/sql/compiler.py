@@ -44,6 +44,7 @@ from .expressions import (
     apply_scalar_function,
     check_comparable,
     like_regex,
+    referenced_columns,
     sql_truth,
 )
 
@@ -117,6 +118,27 @@ def compile_predicate(
         return lambda row: True
     compiled = compile_expression(where, layout, context)
     return lambda row: compiled(row) is True
+
+
+def compile_pushdown(
+    where: ast.Expression,
+    column_names: Sequence[str],
+    qualifiers: Iterable[str],
+    context: StatementContext,
+) -> tuple[tuple[int, ...], CompiledScalar]:
+    """Compile a WHERE clause over only the table columns it reads.
+
+    Returns ``(slots, predicate)`` for ``Table.scan(where=...)``: the
+    ascending slots of the referenced columns, and ``where`` compiled
+    against a layout of just those columns (bare and qualified names,
+    as :func:`row_layout` spells them over the full row).  A name the
+    full layout would not resolve resolves in neither, so the predicate
+    raises the same error at the same row.
+    """
+    wanted = referenced_columns(where)
+    slots = tuple(slot for slot, name in enumerate(column_names) if name in wanted)
+    layout = row_layout([column_names[slot] for slot in slots], qualifiers)
+    return slots, compile_expression(where, layout, context)
 
 
 def compile_assignments(

@@ -27,6 +27,7 @@ from .compiler import (
     CompiledScalar,
     StatementContext,
     compile_expression,
+    compile_pushdown,
     row_layout,
 )
 from .expressions import split_conjuncts
@@ -161,8 +162,10 @@ class Executor:
         base = self._db.table(stmt.table)
         base_alias = stmt.alias or stmt.table
         path = self._choose_path(base, base_alias, stmt.where)
+        # A join's WHERE runs after the probe, over the joined rows.
+        where = None if stmt.joins else stmt.where
         rows: Iterable[tuple[Any, ...]] = (
-            values for _row_id, values in self._read(base, path)
+            values for _row_id, values in self._rows(base, base_alias, path, where)
         )
         plan_parts = [f"{stmt.table}:{path.description}"]
 
@@ -177,7 +180,7 @@ class Executor:
             plan_parts.append(f"join({join.table}:hash)")
         layout, spans = _concat_layout(sources)
 
-        if stmt.where is not None:
+        if stmt.joins and stmt.where is not None:
             keep = self._compile(stmt.where, layout)
             rows = (row for row in rows if keep(row) is True)
 
@@ -261,28 +264,31 @@ class Executor:
             return column_side.name, op, value_side.value
         return None
 
-    @staticmethod
-    def _read(
-        table: Table, path: _AccessPath
-    ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
-        """``(row id, values)`` of every row on the access path, lazily."""
-        if path.row_ids is None:
-            return table.scan()
-        return ((row_id, table.read(row_id)) for row_id in path.row_ids)
-
-    def _matches(
+    def _rows(
         self,
         table: Table,
+        alias: str,
         path: _AccessPath,
         where: ast.Expression | None,
-        layout: dict[str, int],
-    ) -> list[tuple[RowId, tuple[Any, ...]]]:
-        """``(row id, values)`` of every row on the path satisfying ``where``."""
-        rows = self._read(table, path)
+    ) -> Iterator[tuple[RowId, tuple[Any, ...]]]:
+        """``(row id, values)`` of every row on the path satisfying ``where``.
+
+        Lazy, in access-path order.  On a full scan the WHERE clause runs
+        inside :meth:`Table.scan`, over only the columns it reads, so rows
+        it rejects are never fully decoded.
+        """
+        names = table.schema.column_names
+        if path.row_ids is None:
+            if where is None:
+                return table.scan()
+            return table.scan(
+                where=compile_pushdown(where, names, (alias,), self._context)
+            )
+        rows = ((row_id, table.read(row_id)) for row_id in path.row_ids)
         if where is None:
-            return list(rows)
-        keep = self._compile(where, layout)
-        return [(row_id, values) for row_id, values in rows if keep(values) is True]
+            return rows
+        keep = self._compile(where, row_layout(names, (alias,)))
+        return ((row_id, values) for row_id, values in rows if keep(values) is True)
 
     def _hash_join(
         self,
@@ -479,7 +485,7 @@ class Executor:
         alias = stmt.table
         path = self._choose_path(table, alias, stmt.where)
         layout = row_layout(table.schema.column_names, (alias,))
-        matches = self._matches(table, path, stmt.where, layout)
+        matches = list(self._rows(table, alias, path, stmt.where))
         assignments = [
             (a.column, self._compile(a.expr, layout)) for a in stmt.assignments
         ]
@@ -493,8 +499,7 @@ class Executor:
         table = self._db.table(stmt.table)
         alias = stmt.table
         path = self._choose_path(table, alias, stmt.where)
-        layout = row_layout(table.schema.column_names, (alias,))
-        matches = self._matches(table, path, stmt.where, layout)
+        matches = list(self._rows(table, alias, path, stmt.where))
         for row_id, _values in matches:
             table.delete(txn, row_id)
         return Result(rows_affected=len(matches), plan=f"delete:{path.description}")

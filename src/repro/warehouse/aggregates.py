@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..core.opdelta import OpDelta, OpKind
+from ..core.selfmaint import insert_rows
 from ..engine.database import Database
 from ..engine.schema import Column, TableSchema
 from ..engine.table import InsertMode, Table
@@ -39,7 +40,6 @@ from ..sql.compiler import (
     compile_predicate,
     row_layout,
 )
-from ..sql.expressions import evaluate
 from ..sql.parser import parse_expression
 
 #: Aggregate functions that are self-maintainable under insert+delete.
@@ -232,7 +232,8 @@ class MaterializedAggregateView:
         if op.table != self.definition.base_table:
             return
         if op.kind is OpKind.INSERT:
-            for row in self._rows_from_insert(op):
+            assert isinstance(op.statement, ast.InsertStmt)
+            for row in insert_rows(op.statement, self._base_columns):
                 self._add_row(row, txn)
             return
         if op.before_image is None:
@@ -255,19 +256,6 @@ class MaterializedAggregateView:
             self._add_row(after, txn)
 
     # --------------------------------------------------------------- internals
-    def _rows_from_insert(self, op: OpDelta) -> list[tuple]:
-        statement = op.statement
-        assert isinstance(statement, ast.InsertStmt)
-        rows = []
-        for expr_row in statement.rows:
-            values = tuple(evaluate(expr, {}) for expr in expr_row)
-            if statement.columns is not None:
-                mapping = dict(zip(statement.columns, values))
-                rows.append(tuple(mapping.get(c) for c in self._base_columns))
-            else:
-                rows.append(values)
-        return rows
-
     def _qualifies(self, row: Sequence[Any]) -> bool:
         return self._keep(row)
 

@@ -19,7 +19,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.opdelta import OpDelta, OpKind
-from ..core.selfmaint import Maintainability, ViewDefinition, classify_operation
+from ..core.selfmaint import (
+    Maintainability,
+    ViewDefinition,
+    classify_operation,
+    insert_rows,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..semantics.planner import DeltaRule
@@ -36,7 +41,6 @@ from ..sql.compiler import (
     row_layout,
 )
 from ..sql.executor import Executor
-from ..sql.expressions import evaluate
 
 
 class MaterializedView:
@@ -177,18 +181,7 @@ class MaterializedView:
     def _apply_insert_op(self, op: OpDelta, txn: Transaction) -> None:
         stmt = op.statement
         assert isinstance(stmt, ast.InsertStmt)
-        for expr_row in stmt.rows:
-            values = tuple(evaluate(expr, {}) for expr in expr_row)
-            if stmt.columns is not None:
-                mapping = dict(zip(stmt.columns, values))
-                row = tuple(mapping.get(name) for name in self._base_columns)
-            else:
-                if len(values) != len(self._base_columns):
-                    raise WarehouseError(
-                        f"INSERT row width {len(values)} does not match base "
-                        f"table {self.base_schema.name!r}"
-                    )
-                row = values
+        for row in insert_rows(stmt, self._base_columns):
             projected = self._qualify_and_project(row)
             if projected is not None:
                 self.table.insert(txn, projected)

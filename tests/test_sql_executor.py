@@ -160,6 +160,32 @@ class TestDml:
         )
         assert result.rows_affected == 20
 
+    @pytest.mark.parametrize(
+        "where, matches", [("k >= 0", 342), ("k < 200", 171)]
+    )
+    def test_insert_select_reading_its_own_table(self, session, where, matches):
+        # A full scan over several pages with freed slots on each; the
+        # statement must read only the pre-statement rows, never its own
+        # output (HeapFile.scan snapshots pages and slots).
+        session.execute("CREATE TABLE log (k INTEGER NOT NULL, tag CHAR(60))")
+        for k in range(400):
+            session.execute(f"INSERT INTO log VALUES ({k}, 'tag-{k}')")
+        session.execute("DELETE FROM log WHERE k IN (" + ", ".join(
+            str(k) for k in range(0, 400, 7)) + ")")
+        table = session.database.table("log")
+        assert table.num_pages >= 3
+        before = sorted(session.query("SELECT * FROM log"))
+        selected = sorted(session.query(f"SELECT * FROM log WHERE {where}"))
+        assert len(before) == 342 and len(selected) == matches
+
+        result = session.execute(f"INSERT INTO log SELECT * FROM log WHERE {where}")
+
+        assert result.plan == "insert-select"
+        assert result.rows_affected == matches
+        assert sorted(session.query("SELECT * FROM log")) == sorted(before + selected)
+        if matches == len(before):
+            assert table.num_rows == 2 * len(before)
+
     def test_insert_with_column_list_fills_nulls(self, session):
         session.execute(
             "INSERT INTO parts (part_id, part_ref, part_no, status, quantity, "

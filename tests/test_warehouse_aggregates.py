@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import AlwaysHybridPolicy, FileLogStore, OpDeltaCapture
+from repro.core import (
+    AlwaysHybridPolicy,
+    FileLogStore,
+    OpDelta,
+    OpDeltaCapture,
+    OpKind,
+)
 from repro.engine import Database
 from repro.errors import SelfMaintenanceError, WarehouseError
 from repro.extraction import TriggerExtractor
@@ -192,6 +198,49 @@ class TestOpDeltaMaintenance:
                 view.apply_operation(op, txn)
         warehouse.database.commit(txn)
         assert_matches_recompute(source, view)
+
+
+class TestInsertWidth:
+    """An INSERT whose width does not fit ``parts`` (9 columns) is refused."""
+
+    @staticmethod
+    def _insert(values):
+        return OpDelta(
+            f"INSERT INTO parts VALUES ({values})", "parts", OpKind.INSERT,
+            txn_id=1, sequence=1, captured_at=0.0,
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # 10 values: an extra trailing column used to fold into a group.
+            "9001, 9001, 'P-9001', 'd', 'active', 5, 1.5, 0.0, 3, 77",
+            # 8 values: the missing supplier_id used to escape as IndexError.
+            "9001, 9001, 'P-9001', 'd', 'active', 5, 1.5, 0.0",
+        ],
+    )
+    def test_wrong_width_raises_and_changes_nothing(self, values):
+        _source, _workload, warehouse, view, _store, _t = make_pipeline()
+        before = view.groups()
+        txn = warehouse.database.begin()
+        with pytest.raises(WarehouseError, match="does not match base table"):
+            view.apply_operation(self._insert(values), txn)
+        assert view.groups() == before
+        warehouse.database.abort(txn)
+        assert view.groups() == before
+
+    def test_named_columns_width_mismatch_raises(self):
+        _source, _workload, warehouse, view, _store, _t = make_pipeline()
+        before = view.groups()
+        op = OpDelta(
+            "INSERT INTO parts (part_id, supplier_id) VALUES (9001, 3, 4)",
+            "parts", OpKind.INSERT, txn_id=1, sequence=1, captured_at=0.0,
+        )
+        txn = warehouse.database.begin()
+        with pytest.raises(WarehouseError, match="2 named columns"):
+            view.apply_operation(op, txn)
+        warehouse.database.abort(txn)
+        assert view.groups() == before
 
 
 class TestAbortResilience:
