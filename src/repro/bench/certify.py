@@ -43,14 +43,17 @@ from ..analysis.certify import (
 )
 from ..analysis.conflict import ConflictGraph, build_conflict_graph
 from ..compaction import Coalescer
-from ..core.capture import OpDeltaCapture
-from ..core.stores import FileLogStore
 from ..errors import WarehouseError
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
-from ..warehouse.warehouse import Warehouse
 from ..workloads.records import parts_schema, strip_timestamp
-from .experiments.common import build_workload_database
-from .experiments.compaction import build_analyzer, _run_workload
+from .experiments.compaction import build_analyzer
+from .seeded import (
+    SMOKE_TABLE_ROWS,
+    SMOKE_TXN_ROWS,
+    parts_rows,
+    run_smoke_workload,
+    seed_source,
+    seed_warehouse,
+)
 
 #: Version of the ``--certify --json`` document layout.  Bump on any
 #: structural change to :meth:`CertifyReport.to_dict`.
@@ -66,13 +69,6 @@ FAULTS = ("swap-lane-ops",)
 #: Parallel lanes for the batched/compacted lane assignments.
 LANES = 3
 
-# Same smoke-sized seed workload as the health pass.
-TABLE_ROWS = 400
-FOLD_TXNS = 3
-CHURN_TXNS = 2
-SCRATCH_TXNS = 2
-INSERTS_PER_TXN = 4
-TXN_ROWS = 10
 #: Predicate-partition transaction pairs appended to the workload; each
 #: pair covers the same row range split by ``supplier_id = 7`` vs
 #: ``supplier_id <> 7`` — provably disjoint only for the widened prover.
@@ -158,8 +154,8 @@ def _run_partition_txns(session, pairs: int, base_ref: int) -> None:
     witness column, so the structural prover certifies them commuting.
     """
     for i in range(pairs):
-        low = base_ref + i * TXN_ROWS
-        high = low + TXN_ROWS
+        low = base_ref + i * SMOKE_TXN_ROWS
+        high = low + SMOKE_TXN_ROWS
         session.begin()
         session.execute(
             f"UPDATE parts SET status = 'pref-{i}' "
@@ -196,68 +192,12 @@ def _run_hot_range_txns(session, base_ref: int) -> None:
     session.commit()
 
 
-def _capture_window(name: str):
-    """The certify workload captured once: (groups, analyzer, source, rows)."""
-    source, workload = build_workload_database(TABLE_ROWS, name=name)
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
-    analyzer = build_analyzer()
-    store = FileLogStore(source)
-    capture = OpDeltaCapture(
-        workload.session,
-        store,
-        tables={"parts"},
-        analyzer=analyzer,
-        source=name,
-    )
-    capture.attach()
-    _run_workload(
-        workload.session,
-        FOLD_TXNS,
-        CHURN_TXNS,
-        SCRATCH_TXNS,
-        INSERTS_PER_TXN,
-        TXN_ROWS,
-    )
-    _run_partition_txns(workload.session, PARTITION_PAIRS, base_ref=100)
-    _run_hot_range_txns(workload.session, base_ref=150)
-    capture.detach()
-    return store.drain(), analyzer, source, initial_rows
-
-
 def _graph_stats(graph: ConflictGraph) -> dict[str, Any]:
     return {
         "edges": len(graph.edges),
         "components": graph.component_count,
         "largest_component": graph.largest_component,
     }
-
-
-def _build_warehouse(label: str, clock, initial_rows, analyzer, sanitizer=None):
-    schema = parts_schema()
-    warehouse = Warehouse(f"certify-wh-{label}", clock=clock)
-    warehouse.create_mirror(schema)
-    warehouse.initial_load_rows("parts", initial_rows)
-    view = warehouse.define_view(analyzer.views[0], schema)
-    txn = warehouse.database.begin()
-    view.initialize(initial_rows, txn)
-    warehouse.database.commit(txn)
-    integrator = OpDeltaIntegrator(
-        warehouse.database.internal_session(),
-        views=[view],
-        analyzer=analyzer,
-        sanitizer=sanitizer,
-    )
-    return warehouse, integrator
-
-
-def _mirror_state(warehouse: Warehouse) -> list:
-    schema = parts_schema()
-    return sorted(
-        strip_timestamp(
-            schema,
-            [v for _rid, v in warehouse.database.table("parts").scan()],
-        )
-    )
 
 
 def run_certify(fault: str | None = None) -> CertifyReport:
@@ -267,16 +207,18 @@ def run_certify(fault: str | None = None) -> CertifyReport:
             f"unknown fault {fault!r}; available: {', '.join(FAULTS)}"
         )
     report = CertifyReport(fault=fault)
-    groups, analyzer, source, initial_rows = _capture_window("certify")
+    analyzer = build_analyzer()
+    source = seed_source("certify", SMOKE_TABLE_ROWS, analyzer)
+    run_smoke_workload(source.session)
+    _run_partition_txns(source.session, PARTITION_PAIRS, base_ref=100)
+    _run_hot_range_txns(source.session, base_ref=150)
+    source.capture.detach()
+    groups = source.store.drain()
+    clock, initial_rows = source.database.clock, source.initial_rows
     report.transactions = len(groups)
     report.operations = sum(len(g.operations) for g in groups)
 
-    graph_wide = build_conflict_graph(
-        groups,
-        table_columns=analyzer.table_columns or None,
-        key_columns=analyzer.key_columns or None,
-        structural=True,
-    )
+    graph_wide = analyzer.conflict_graph(groups)
     graph_conservative = build_conflict_graph(
         groups,
         table_columns=analyzer.table_columns or None,
@@ -301,16 +243,12 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     report.modes["plain"] = certifier.certify(groups, graph_wide, serial).to_dict()
     report.modes["batched"] = certifier.certify(groups, graph_wide, lanes).to_dict()
 
-    coalescer = Coalescer(analyzer=analyzer, clock=source.clock)
+    coalescer = Coalescer(analyzer=analyzer, clock=clock)
     compacted, compaction = coalescer.compact_window(groups)
     obligations = certifier.verify_compaction(
         groups, compaction.reorder_obligations
     )
-    graph_compacted = build_conflict_graph(
-        compacted,
-        table_columns=analyzer.table_columns or None,
-        key_columns=analyzer.key_columns or None,
-    )
+    graph_compacted = analyzer.conflict_graph(compacted)
     compacted_certificate = certifier.certify(
         compacted,
         graph_compacted,
@@ -328,15 +266,15 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     report.modes["compacted"] = compacted_summary
 
     # ---- state parity and sanitizer overhead ----------------------------
-    wh_serial, integ_serial = _build_warehouse(
-        "serial", source.clock, initial_rows, analyzer
+    wh_serial, integ_serial = seed_warehouse(
+        "certify-wh-serial", clock, initial_rows, analyzer
     )
-    wh_off, integ_off = _build_warehouse(
-        "batched-off", source.clock, initial_rows, analyzer
+    wh_off, integ_off = seed_warehouse(
+        "certify-wh-batched-off", clock, initial_rows, analyzer
     )
     sanitizer = InterferenceSanitizer.for_analyzer(LANES, analyzer)
-    wh_on, integ_on = _build_warehouse(
-        "batched-on", source.clock, initial_rows, analyzer, sanitizer=sanitizer
+    wh_on, integ_on = seed_warehouse(
+        "certify-wh-batched-on", clock, initial_rows, analyzer, sanitizer=sanitizer
     )
     serial_report = integ_serial.integrate(groups)
     off_report = integ_off.integrate_batched(
@@ -345,9 +283,9 @@ def run_certify(fault: str | None = None) -> CertifyReport:
     on_report = integ_on.integrate_batched(
         groups, graph=graph_wide, lanes=LANES
     )
-    state_serial = _mirror_state(wh_serial)
-    state_off = _mirror_state(wh_off)
-    state_on = _mirror_state(wh_on)
+    state_serial = sorted(parts_rows(wh_serial.database))
+    state_off = sorted(parts_rows(wh_off.database))
+    state_on = sorted(parts_rows(wh_on.database))
     report.parity = {
         "serial_verdict": serial_report.certificate_verdict,
         "batched_verdict": off_report.certificate_verdict,
@@ -369,8 +307,8 @@ def run_certify(fault: str | None = None) -> CertifyReport:
         static = certifier.certify(groups, graph_wide, planted)
         drill_sanitizer = InterferenceSanitizer.for_analyzer(LANES, analyzer)
         dynamic = drill_sanitizer.replay(groups, planted)
-        wh_drill, integ_drill = _build_warehouse(
-            "drill", source.clock, initial_rows, analyzer
+        wh_drill, integ_drill = seed_warehouse(
+            "certify-wh-drill", clock, initial_rows, analyzer
         )
         integrator_rejected = False
         rejection = ""
@@ -387,7 +325,7 @@ def run_certify(fault: str | None = None) -> CertifyReport:
             "dynamic_findings": [f.to_dict() for f in dynamic],
             "integrator_rejected": integrator_rejected,
             "integrator_error": rejection,
-            "drill_state_untouched": _mirror_state(wh_drill)
+            "drill_state_untouched": sorted(parts_rows(wh_drill.database))
             == sorted(strip_timestamp(parts_schema(), initial_rows)),
         }
     return report

@@ -23,17 +23,12 @@ from __future__ import annotations
 
 from ...analysis import OpDeltaAnalyzer
 from ...compaction import Coalescer
-from ...core.capture import OpDeltaCapture
 from ...core.selfmaint import ViewDefinition
-from ...core.stores import FileLogStore
 from ...transport.queue import PersistentQueue
 from ...transport.shipper import enqueue_op_deltas
-from ...warehouse.opdelta_integrator import OpDeltaIntegrator
 from ...warehouse.scheduler import run_batched_schedule
-from ...warehouse.warehouse import Warehouse
-from ...workloads.records import parts_schema, strip_timestamp
+from ...workloads.records import parts_schema
 from ..report import ExperimentResult
-from .common import build_workload_database
 
 DEFAULT_TABLE_ROWS = 3_000
 DEFAULT_FOLD_TXNS = 6
@@ -81,7 +76,7 @@ def _insert(session, part_id: int, status: str = "new") -> None:
     )
 
 
-def _run_workload(
+def run_workload(
     session,
     fold_txns: int,
     churn_txns: int,
@@ -161,57 +156,40 @@ def run(
     txn_rows: int = DEFAULT_TXN_ROWS,
     workers: int = DEFAULT_WORKERS,
 ) -> ExperimentResult:
-    source, workload = build_workload_database(table_rows, name="cp-source")
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
+    # Imported lazily: repro.bench.seeded builds on this module's analyzer
+    # and workload, so a module-level import here would be circular.
+    from ..seeded import parts_rows, seed_source, seed_warehouse
+
     analyzer = build_analyzer()
-    store = FileLogStore(source)
-    capture = OpDeltaCapture(
-        workload.session, store, tables={"parts"}, analyzer=analyzer
-    )
-    capture.attach()
-    _run_workload(
-        workload.session,
+    source = seed_source("cp-source", table_rows, analyzer)
+    run_workload(
+        source.session,
         fold_txns,
         churn_txns,
         scratch_txns,
         inserts_per_txn,
         txn_rows,
     )
-    capture.detach()
-    groups = store.drain()
+    source.capture.detach()
+    groups = source.store.drain()
+    clock = source.database.clock
 
-    coalescer = Coalescer(analyzer=analyzer, clock=source.clock)
+    coalescer = Coalescer(analyzer=analyzer, clock=clock)
     compacted, compaction = coalescer.compact_window(groups)
 
     # Two identically loaded warehouses, each with the mirror and the view.
-    schema = parts_schema()
-    view_def = build_analyzer().views[0]
-    warehouses = []
-    integrators = []
-    for label in ("serial", "batched"):
-        wh = Warehouse(f"cp-wh-{label}", clock=source.clock)
-        wh.create_mirror(schema)
-        wh.initial_load_rows("parts", initial_rows)
-        view = wh.define_view(view_def, schema)
-        txn = wh.database.begin()
-        view.initialize(initial_rows, txn)
-        wh.database.commit(txn)
-        warehouses.append(wh)
-        integrators.append(
-            OpDeltaIntegrator(
-                wh.database.internal_session(),
-                views=[view],
-                analyzer=analyzer,
-            )
-        )
-    wh_serial, wh_batched = warehouses
-    integ_serial, integ_batched = integrators
+    wh_serial, integ_serial = seed_warehouse(
+        "cp-wh-serial", clock, source.initial_rows, analyzer
+    )
+    wh_batched, integ_batched = seed_warehouse(
+        "cp-wh-batched", clock, source.initial_rows, analyzer
+    )
 
     # Serial baseline: the window verbatim, one warehouse txn per commit.
     serial_report = integ_serial.integrate(groups)
 
     # Compacted pipeline: through the persistent queue as one window.
-    queue: PersistentQueue = PersistentQueue(source.clock, name="cp-queue")
+    queue: PersistentQueue = PersistentQueue(clock, name="cp-queue")
     enqueue_op_deltas(queue, compacted)
     window = queue.receive_window(limit=len(compacted) + 1)
     batched_report = integ_batched.integrate_batched(
@@ -219,12 +197,8 @@ def run(
     )
     queue.ack_window(delivery_id for delivery_id, _payload in window)
 
-    state_serial = strip_timestamp(
-        schema, [v for _rid, v in wh_serial.database.table("parts").scan()]
-    )
-    state_batched = strip_timestamp(
-        schema, [v for _rid, v in wh_batched.database.table("parts").scan()]
-    )
+    state_serial = parts_rows(wh_serial.database)
+    state_batched = parts_rows(wh_batched.database)
     view_serial = wh_serial.view("parts_catalog").rows()
     view_batched = wh_batched.view("parts_catalog").rows()
 

@@ -1,7 +1,9 @@
 """``repro-bench --flight``: the flight-recorded pipeline run.
 
 Drives the seed workload through the flagship capture → queue → batched
-apply pipeline in **windows**, with the full observability stack on:
+apply pipeline in **windows** (the shared
+:class:`~repro.bench.seeded.WindowedRun`), with the full observability
+stack on:
 
 * a :class:`~repro.obs.pipeline.PipelineRecorder` carrying a
   :class:`~repro.obs.flight.FlightRecorder` that samples lags, per-view
@@ -16,7 +18,7 @@ apply pipeline in **windows**, with the full observability stack on:
 
 The workload has a **seeded load spike** baked into its window schedule
 (:data:`WINDOW_TXNS`): the apply side drains at most
-:data:`APPLY_BUDGET` queue messages per window, so the spike windows
+:data:`~repro.bench.seeded.APPLY_BUDGET` queue messages per window, so the spike windows
 outrun the consumer, backlog builds, the view goes stale, and the
 freshness SLO's burn-rate alert must fire — then clear once the cooldown
 windows drain the backlog.  Everything runs on the virtual clock, so the
@@ -26,32 +28,11 @@ across runs.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
-from ..core.capture import OpDeltaCapture
-from ..core.stores import FileLogStore
-from ..obs.context import observe
-from ..obs.flight import (
-    CostAttributor,
-    FlightRecorder,
-    FreshnessSLO,
-    LatencySLO,
-    SLOEngine,
-    TimeSeriesStore,
-)
-from ..obs.metrics import MetricsRegistry
-from ..obs.pipeline import PipelineRecorder, observe_pipeline
-from ..obs.tracing import Tracer
-from ..semantics import SchemaCatalog, SemanticChecker
-from ..transport.queue import PersistentQueue
-from ..transport.shipper import enqueue_op_deltas
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
-from ..warehouse.warehouse import Warehouse
-from ..workloads.records import parts_schema
-from .experiments.common import build_workload_database
-from .experiments.compaction import build_analyzer
+from .seeded import APPLY_BUDGET, SHORT_WINDOW_MS, WindowedRun
 
 #: Version of the ``--flight --json`` document layout.  Bump on any
 #: structural change to :meth:`FlightReport.to_dict`.
@@ -62,20 +43,10 @@ SCHEMA_VERSION = 1
 WINDOW_TXNS = (2, 2, 2, 6, 6, 6, 2, 1, 1, 1)
 #: Windows (0-based) that carry the seeded spike.
 SPIKE_WINDOWS = (3, 4, 5)
-#: Queue messages the consumer applies per window (its fixed capacity).
-APPLY_BUDGET = 3
 #: Rows seeded into the source ``parts`` table.
 TABLE_ROWS = 200
 #: Rows touched by each source transaction's UPDATE.
 TXN_ROWS = 8
-
-#: The freshness objective on the maintained view (virtual ms staleness).
-FRESHNESS_TARGET_MS = 120.0
-#: The latency objective on the end-to-end per-window mean lag.
-LATENCY_TARGET_MS = 400.0
-#: Burn-rate evaluation windows (virtual ms).
-SHORT_WINDOW_MS = 60.0
-LONG_WINDOW_MS = 300.0
 
 
 @dataclass
@@ -94,14 +65,6 @@ class FlightReport:
     store: dict[str, Any] = field(default_factory=dict)
     #: The conservative cost ledger (:meth:`CostLedger.to_dict`).
     ledger: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def fired(self) -> list[dict[str, Any]]:
-        return [f for f in self.findings if f["severity"] == "error"]
-
-    @property
-    def cleared(self) -> list[dict[str, Any]]:
-        return [f for f in self.findings if f["code"] in ("SLO002", "SLO004")]
 
     @property
     def spike_detected(self) -> bool:
@@ -181,95 +144,14 @@ def run_flight(sample: bool = True) -> FlightReport:
     obs-overhead bench asserts the final virtual time matches exactly.
     """
     report = FlightReport(sampled=sample)
-    schema = parts_schema()
-    analyzer = build_analyzer()
+    with WindowedRun("flight", TABLE_ROWS, sample=sample) as run:
 
-    metrics = MetricsRegistry()
-    tracer = Tracer()
-    flight = FlightRecorder(store=TimeSeriesStore(), metrics=metrics)
-    engine = SLOEngine(
-        flight.store,
-        [
-            FreshnessSLO(
-                "parts_catalog",
-                target_ms=FRESHNESS_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-            LatencySLO(
-                "end_to_end",
-                target_ms=LATENCY_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-        ],
-    )
-
-    with ExitStack() as stack:
-        stack.enter_context(observe(metrics=metrics, tracer=tracer))
-        # Built inside the ambient context so the source database binds
-        # the tracer — capture-side spans must reach the cost ledger.
-        source, workload = build_workload_database(
-            TABLE_ROWS, name="flight-source"
-        )
-        initial_rows = [values for _rid, values in source.table("parts").scan()]
-        store = FileLogStore(source)
-        recorder = PipelineRecorder(
-            clock=source.clock,
-            metrics=metrics,
-            flight=flight if sample else None,
-        )
-        stack.enter_context(observe_pipeline(recorder))
-        capture = OpDeltaCapture(
-            workload.session,
-            store,
-            tables={"parts"},
-            analyzer=analyzer,
-            checker=SemanticChecker(SchemaCatalog.from_database(source)),
-            source="flight-source",
-        )
-        capture.attach()
-
-        warehouse = Warehouse("flight-wh", clock=source.clock)
-        warehouse.create_mirror(schema)
-        warehouse.initial_load_rows("parts", initial_rows)
-        view = warehouse.define_view(analyzer.views[0], schema)
-        txn = warehouse.database.begin()
-        view.initialize(initial_rows, txn)
-        warehouse.database.commit(txn)
-        integrator = OpDeltaIntegrator(
-            warehouse.database.internal_session(),
-            views=[view],
-            analyzer=analyzer,
-        )
-        queue: PersistentQueue = PersistentQueue(
-            source.clock, name="flight", metrics=metrics
-        )
-        if sample:
-            flight.watch_queue(queue)
-
-        def apply_budget(budget: int) -> int:
-            window = queue.receive_window(limit=budget)
-            if not window:
-                return 0
-            payloads = [payload for _id, payload in window]
-            graph = analyzer.conflict_graph(payloads)
-            integrator.integrate_batched(payloads, graph=graph)
-            queue.ack_window(did for did, _payload in window)
-            return len(window)
-
-        for index, txns in enumerate(WINDOW_TXNS):
-            _window_workload(workload.session, index, txns)
-            groups = store.drain()
-            enqueued = enqueue_op_deltas(queue, groups)
-            applied = apply_budget(APPLY_BUDGET)
-            now = source.clock.now
-            if sample:
-                flight.sample_now(recorder, now)
-            staleness = recorder.views["parts_catalog"].staleness_ms(
-                recorder.source_high_ms()
-            ) if "parts_catalog" in recorder.views else 0.0
-            window_findings = engine.evaluate(now) if sample else []
+        def record(txns: int, enqueued: int, applied: int) -> None:
+            now, findings = run.observe_now()
+            index = len(report.windows)
+            view = run.recorder.views.get("parts_catalog")
+            high_ms = run.recorder.source_high_ms()
+            staleness = 0.0 if view is None else view.staleness_ms(high_ms)
             report.windows.append(
                 {
                     "window": index,
@@ -278,70 +160,39 @@ def run_flight(sample: bool = True) -> FlightReport:
                     "spike": index in SPIKE_WINDOWS,
                     "enqueued": enqueued,
                     "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
+                    "queue_depth": run.backlog,
                     "staleness_ms": staleness,
-                    "findings": [f.to_dict() for f in window_findings],
+                    "findings": [f.to_dict() for f in findings],
                 }
+            )
+
+        for index, txns in enumerate(WINDOW_TXNS):
+            record(
+                txns,
+                *run.window(
+                    partial(_window_workload, window=index, txns=txns),
+                    APPLY_BUDGET,
+                ),
             )
         # Post-schedule drain: the consumer keeps its per-window budget
         # until the backlog is gone, evaluating the SLOs each round so a
         # recovery is observed (and the alert clears) at a real instant.
-        drain_round = 0
-        while len(queue) or queue.in_flight:
-            applied = apply_budget(APPLY_BUDGET)
-            now = source.clock.now
-            if sample:
-                flight.sample_now(recorder, now)
-            drain_findings = engine.evaluate(now) if sample else []
-            staleness = recorder.views["parts_catalog"].staleness_ms(
-                recorder.source_high_ms()
-            )
-            report.windows.append(
-                {
-                    "window": len(WINDOW_TXNS) + drain_round,
-                    "at_ms": now,
-                    "txns": 0,
-                    "spike": False,
-                    "enqueued": 0,
-                    "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
-                    "staleness_ms": staleness,
-                    "findings": [f.to_dict() for f in drain_findings],
-                }
-            )
-            drain_round += 1
+        while run.backlog:
+            record(0, *run.window(None, APPLY_BUDGET))
         # Quiet period: advance virtual time past the short burn window
         # with read-only warehouse queries, then evaluate once more — with
         # no fresh violating samples in the window, every alert must clear.
-        reader = warehouse.database.internal_session()
-        quiet_until = source.clock.now + SHORT_WINDOW_MS
-        while source.clock.now <= quiet_until:
+        reader = run.warehouse.database.internal_session()
+        quiet_until = run.clock.now + SHORT_WINDOW_MS
+        while run.clock.now <= quiet_until:
             reader.execute("SELECT * FROM parts WHERE part_id = 0")
-        now = source.clock.now
         if sample:
-            flight.sample_now(recorder, now)
-            quiet_findings = engine.evaluate(now)
-            report.windows.append(
-                {
-                    "window": len(WINDOW_TXNS) + drain_round,
-                    "at_ms": now,
-                    "txns": 0,
-                    "spike": False,
-                    "enqueued": 0,
-                    "applied": 0,
-                    "queue_depth": 0,
-                    "staleness_ms": recorder.views[
-                        "parts_catalog"
-                    ].staleness_ms(recorder.source_high_ms()),
-                    "findings": [f.to_dict() for f in quiet_findings],
-                }
-            )
-        capture.detach()
+            record(0, 0, 0)
 
-    report.final_virtual_ms = source.clock.now
-    report.findings = [finding.to_dict() for finding in engine.history]
+    report.final_virtual_ms = run.clock.now
+    report.findings = [finding.to_dict() for finding in run.engine.history]
     if sample:
-        report.slo = engine.to_dict()
-        report.store = flight.store.to_dict()
-    report.ledger = CostAttributor().attribute(tracer).to_dict()
+        report.slo = run.engine.to_dict()
+        report.store = run.flight.store.to_dict()
+    report.ledger = run.ledger().to_dict()
     return report

@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..compaction import Coalescer
-from ..core.capture import OpDeltaCapture
-from ..core.stores import FileLogStore
 from ..obs.pipeline import (
     PipelineAuditor,
     PipelineRecorder,
@@ -46,11 +44,14 @@ from ..obs.pipeline import (
 from ..transport.network import NetworkModel
 from ..transport.queue import PersistentQueue
 from ..transport.shipper import FileShipper, enqueue_op_deltas
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
-from ..warehouse.warehouse import Warehouse
-from ..workloads.records import parts_schema, strip_timestamp
-from .experiments.common import build_workload_database
-from .experiments.compaction import build_analyzer, _run_workload
+from .experiments.compaction import build_analyzer
+from .seeded import (
+    SMOKE_TABLE_ROWS,
+    parts_rows,
+    run_smoke_workload,
+    seed_source,
+    seed_warehouse,
+)
 
 #: Version of the ``--health --json`` document layout.  Bump on any
 #: structural change to :meth:`HealthReport.to_dict`.
@@ -62,15 +63,6 @@ MODES = ("plain", "batched", "compacted")
 FLAGSHIP = "compacted"
 #: Injectable faults (``repro-bench --health --fault ...``).
 FAULTS = ("drop-queue-message",)
-
-# Smaller than the compaction experiment's defaults: the health pass runs
-# three whole pipelines and is part of the smoke path.
-TABLE_ROWS = 400
-FOLD_TXNS = 3
-CHURN_TXNS = 2
-SCRATCH_TXNS = 2
-INSERTS_PER_TXN = 4
-TXN_ROWS = 10
 
 
 @dataclass
@@ -130,60 +122,30 @@ def run_health(fault: str | None = None) -> HealthReport:
 
 def _run_mode(mode: str, fault: str | None = None) -> PipelineSnapshot:
     """One capture-to-warehouse pipeline under its own recorder, audited."""
-    source, workload = build_workload_database(
-        TABLE_ROWS, name=f"health-{mode}"
-    )
-    initial_rows = [values for _rid, values in source.table("parts").scan()]
-    schema = parts_schema()
     analyzer = build_analyzer()
-    store = FileLogStore(source)
-    recorder = PipelineRecorder(clock=source.clock)
+    source = seed_source(f"health-{mode}", SMOKE_TABLE_ROWS, analyzer)
+    clock = source.database.clock
+    recorder = PipelineRecorder(clock=clock)
     components = None
     with observe_pipeline(recorder):
-        capture = OpDeltaCapture(
-            workload.session,
-            store,
-            tables={"parts"},
-            analyzer=analyzer,
-            source=f"health-{mode}",
-        )
-        capture.attach()
-        _run_workload(
-            workload.session,
-            FOLD_TXNS,
-            CHURN_TXNS,
-            SCRATCH_TXNS,
-            INSERTS_PER_TXN,
-            TXN_ROWS,
-        )
-        capture.detach()
-        groups = store.drain()
+        run_smoke_workload(source.session)
+        source.capture.detach()
+        groups = source.store.drain()
 
-        warehouse = Warehouse(f"health-wh-{mode}", clock=source.clock)
-        warehouse.create_mirror(schema)
-        warehouse.initial_load_rows("parts", initial_rows)
-        view = warehouse.define_view(analyzer.views[0], schema)
-        txn = warehouse.database.begin()
-        view.initialize(initial_rows, txn)
-        warehouse.database.commit(txn)
-        integrator = OpDeltaIntegrator(
-            warehouse.database.internal_session(),
-            views=[view],
-            analyzer=analyzer,
+        warehouse, integrator = seed_warehouse(
+            f"health-wh-{mode}", clock, source.initial_rows, analyzer
         )
 
         if mode == "plain":
-            shipper = FileShipper(NetworkModel(source.clock))
+            shipper = FileShipper(NetworkModel(clock))
             shipper.ship_op_deltas(groups)
             integrator.integrate(groups)
         else:
             window_groups = groups
             if mode == "compacted":
-                coalescer = Coalescer(analyzer=analyzer, clock=source.clock)
+                coalescer = Coalescer(analyzer=analyzer, clock=clock)
                 window_groups, _compaction = coalescer.compact_window(groups)
-            queue: PersistentQueue = PersistentQueue(
-                source.clock, name=f"health-{mode}"
-            )
+            queue: PersistentQueue = PersistentQueue(clock, name=f"health-{mode}")
             enqueue_op_deltas(queue, window_groups)
             window = queue.receive_window(limit=len(window_groups) + 1)
             payloads = [payload for _id, payload in window]
@@ -197,20 +159,12 @@ def _run_mode(mode: str, fault: str | None = None) -> PipelineSnapshot:
             components = graph.components
 
     audit = PipelineAuditor(recorder).audit(conflict_components=components)
-    expected = StateDigest.from_rows(
-        strip_timestamp(
-            schema, [v for _rid, v in source.table("parts").scan()]
-        )
-    )
-    actual = StateDigest.from_rows(
-        strip_timestamp(
-            schema, [v for _rid, v in warehouse.database.table("parts").scan()]
-        )
-    )
+    expected = StateDigest.from_rows(parts_rows(source.database))
+    actual = StateDigest.from_rows(parts_rows(warehouse.database))
     PipelineAuditor(recorder).check_digest(
         audit, f"{mode}:parts-mirror", expected, actual
     )
-    snapshot = build_snapshot(recorder, audit, now_ms=source.clock.now)
+    snapshot = build_snapshot(recorder, audit, now_ms=clock.now)
     snapshot.extras["mode"] = mode
     snapshot.extras["fault"] = fault
     return snapshot

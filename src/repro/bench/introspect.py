@@ -28,35 +28,19 @@ for ad-hoc ``--sql`` queries over all eight ``sys.*`` tables.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from ..analysis.verify import CertificateCache, DeltaRuleVerifier
-from ..core.capture import OpDeltaCapture
 from ..core.opdelta import PARSE_CACHE
-from ..core.stores import FileLogStore
-from ..obs.context import observe
-from ..obs.flight import (
-    CostAttributor,
-    FlightRecorder,
-    FreshnessSLO,
-    LatencySLO,
-    SLOEngine,
-    TimeSeriesStore,
+from ..obs.introspect import (
+    CriticalPathAnalyzer,
+    MetaObservatory,
+    StoreBundle,
+    SystemCatalog,
 )
-from ..obs.introspect import MetaObservatory, StoreBundle, SystemCatalog
-from ..obs.metrics import MetricsRegistry
-from ..obs.pipeline import PipelineRecorder, observe_pipeline
-from ..obs.tracing import Tracer
-from ..semantics import SchemaCatalog, SemanticChecker
-from ..transport.queue import PersistentQueue
-from ..transport.shipper import enqueue_op_deltas
-from ..warehouse.opdelta_integrator import OpDeltaIntegrator
-from ..warehouse.warehouse import Warehouse
-from ..workloads.records import parts_schema
-from .experiments.common import build_workload_database
-from .experiments.compaction import build_analyzer
+from .seeded import APPLY_BUDGET, WindowedRun
 
 #: Version of the ``--forensics --json`` document layout.  Bump on any
 #: structural change to :meth:`ForensicsReport.to_dict`.
@@ -67,18 +51,10 @@ WINDOW_TXNS = (2, 2, 2, 2, 2, 2, 2, 2)
 #: Windows (0-based) during which the consumer is stalled: the producer
 #: keeps committing but nothing is drained — the seeded queue stall.
 STALL_WINDOWS = (2, 3, 4, 5)
-#: Queue messages the consumer applies per non-stalled window.
-APPLY_BUDGET = 3
 #: Rows seeded into the source ``parts`` table.
 TABLE_ROWS = 120
 #: Rows touched by each source transaction's UPDATE.
 TXN_ROWS = 6
-
-#: SLO objectives (virtual ms): tight enough that the stall fires them.
-FRESHNESS_TARGET_MS = 120.0
-LATENCY_TARGET_MS = 400.0
-SHORT_WINDOW_MS = 60.0
-LONG_WINDOW_MS = 300.0
 
 #: Minimum fraction of the p99 op's end-to-end latency the queue
 #: segment must explain for the drill to call the stall proven.  Natural
@@ -227,8 +203,7 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     additionally carries that query's result over the populated stores.
     """
     report = ForensicsReport()
-    schema = parts_schema()
-    analyzer = build_analyzer()
+    run = WindowedRun("forensics", TABLE_ROWS)
     # Hermetic run: the process-wide parse and certificate caches make a
     # second in-process run cheaper than the first (warm lookups, skipped
     # small-scope proofs), which would leak into the hit/miss counters,
@@ -238,130 +213,50 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
     PARSE_CACHE.clear()
     verifier = DeltaRuleVerifier(cache=CertificateCache())
 
-    metrics = MetricsRegistry()
-    tracer = Tracer()
-    flight = FlightRecorder(store=TimeSeriesStore(), metrics=metrics)
-    engine = SLOEngine(
-        flight.store,
-        [
-            FreshnessSLO(
-                "parts_catalog",
-                target_ms=FRESHNESS_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-            LatencySLO(
-                "end_to_end",
-                target_ms=LATENCY_TARGET_MS,
-                short_window_ms=SHORT_WINDOW_MS,
-                long_window_ms=LONG_WINDOW_MS,
-            ),
-        ],
-    )
-
-    with ExitStack() as stack:
-        stack.enter_context(observe(metrics=metrics, tracer=tracer))
-        source, workload = build_workload_database(
-            TABLE_ROWS, name="forensics-source"
-        )
-        initial_rows = [values for _rid, values in source.table("parts").scan()]
-        store = FileLogStore(source)
-        recorder = PipelineRecorder(
-            clock=source.clock, metrics=metrics, flight=flight
-        )
-        stack.enter_context(observe_pipeline(recorder))
-        capture = OpDeltaCapture(
-            workload.session,
-            store,
-            tables={"parts"},
-            analyzer=analyzer,
-            checker=SemanticChecker(SchemaCatalog.from_database(source)),
-            source="forensics-source",
-        )
-        capture.attach()
-
-        warehouse = Warehouse("forensics-wh", clock=source.clock)
-        warehouse.create_mirror(schema)
-        warehouse.initial_load_rows("parts", initial_rows)
-        view = warehouse.define_view(analyzer.views[0], schema)
-        txn = warehouse.database.begin()
-        view.initialize(initial_rows, txn)
-        warehouse.database.commit(txn)
-        integrator = OpDeltaIntegrator(
-            warehouse.database.internal_session(),
-            views=[view],
-            analyzer=analyzer,
-        )
-        queue: PersistentQueue = PersistentQueue(
-            source.clock, name="forensics", metrics=metrics
-        )
-        flight.watch_queue(queue)
-
+    with run:
         bundle = StoreBundle(
-            recorder=recorder,
-            metrics=metrics,
-            series=flight.store,
-            slo=engine,
+            recorder=run.recorder,
+            metrics=run.metrics,
+            series=run.flight.store,
+            slo=run.engine,
         )
         catalog = SystemCatalog(bundle)
         observatory = MetaObservatory(catalog, verifier=verifier)
 
-        def apply_budget(budget: int) -> int:
-            window = queue.receive_window(limit=budget)
-            if not window:
-                return 0
-            payloads = [payload for _id, payload in window]
-            graph = analyzer.conflict_graph(payloads)
-            integrator.integrate_batched(payloads, graph=graph)
-            queue.ack_window(did for did, _payload in window)
-            return len(window)
-
-        for index, txns in enumerate(WINDOW_TXNS):
-            _window_workload(workload.session, index, txns)
-            groups = store.drain()
-            enqueued = enqueue_op_deltas(queue, groups)
-            stalled = index in STALL_WINDOWS
-            applied = 0 if stalled else apply_budget(APPLY_BUDGET)
-            now = source.clock.now
-            flight.sample_now(recorder, now)
-            engine.evaluate(now)
+        def record(txns: int, stalled: bool, enqueued: int, applied: int) -> None:
+            now, _findings = run.observe_now()
             report.windows.append(
                 {
-                    "window": index,
+                    "window": len(report.windows),
                     "at_ms": now,
                     "txns": txns,
                     "stalled": stalled,
                     "enqueued": enqueued,
                     "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
+                    "queue_depth": run.backlog,
                 }
+            )
+
+        for index, txns in enumerate(WINDOW_TXNS):
+            stalled = index in STALL_WINDOWS
+            record(
+                txns,
+                stalled,
+                *run.window(
+                    partial(_window_workload, window=index, txns=txns),
+                    0 if stalled else APPLY_BUDGET,
+                ),
             )
         # Mid-run refresh: the backlog is at its peak, so the monitoring
         # views first materialise the stall (all inserts).
         report.meta_refreshes.append(observatory.refresh().to_dict())
         # Drain the backlog at the normal budget.
-        drain_round = 0
-        while len(queue) or queue.in_flight:
-            applied = apply_budget(APPLY_BUDGET)
-            now = source.clock.now
-            flight.sample_now(recorder, now)
-            engine.evaluate(now)
-            report.windows.append(
-                {
-                    "window": len(WINDOW_TXNS) + drain_round,
-                    "at_ms": now,
-                    "txns": 0,
-                    "stalled": False,
-                    "enqueued": 0,
-                    "applied": applied,
-                    "queue_depth": len(queue) + queue.in_flight,
-                }
-            )
-            drain_round += 1
-        capture.detach()
+        while run.backlog:
+            record(0, False, *run.window(None, APPLY_BUDGET))
 
-    report.final_virtual_ms = source.clock.now
-    bundle.ledger = CostAttributor().attribute(tracer)
+    clock = run.clock
+    report.final_virtual_ms = clock.now
+    bundle.ledger = run.ledger()
     report.ledger = bundle.ledger.to_dict()
 
     # Post-drain refresh updates the backlog rows in place; the probe
@@ -381,20 +276,18 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
 
     # Zero observer cost: interrogating the catalog must not move the
     # observed pipeline's clock.
-    clock_before = source.clock.now
+    clock_before = clock.now
     for name in catalog.table_names:
         report.table_rows[name] = int(
             catalog.query(f"SELECT COUNT(*) FROM {name}").scalar()
         )
     report.conservation_sql = _conservation_from_sql(catalog)
-    report.conservation_auditor = recorder.conservation()
+    report.conservation_auditor = run.recorder.conservation()
     report.conservation_matches = (
         report.conservation_sql == report.conservation_auditor
     )
 
-    from ..obs.introspect import CriticalPathAnalyzer
-
-    forensics = CriticalPathAnalyzer(recorder)
+    forensics = CriticalPathAnalyzer(run.recorder)
     report.forensics = forensics.to_dict()
     p99 = forensics.p99_blame()
     report.p99_stage = "" if p99 is None else p99.critical_stage
@@ -408,7 +301,7 @@ def run_forensics(sql: str | None = None) -> ForensicsReport:
             "columns": list(result.columns),
             "rows": [list(row) for row in result.rows],
         }
-    report.zero_cost_ok = source.clock.now == clock_before
+    report.zero_cost_ok = clock.now == clock_before
     return report
 
 

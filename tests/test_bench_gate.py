@@ -4,10 +4,24 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
+BASELINES = REPO / "benchmarks" / "baselines"
 sys.path.insert(0, str(REPO / "tools"))
 
 import bench_gate  # noqa: E402
+
+#: The ``repro-bench`` arguments that produce each gated artifact.
+ARTIFACT_ARGS = {
+    "BENCH_columnar.json": ["--columnar"],
+    "BENCH_compaction.json": ["compaction", "--compact"],
+    "BENCH_health.json": ["--health"],
+    "BENCH_flight.json": ["--flight"],
+    "BENCH_certify.json": ["--certify"],
+    "BENCH_verify_plans.json": ["--verify-plans"],
+    "BENCH_forensics.json": ["--forensics"],
+}
 
 
 def write_json(path, payload):
@@ -105,6 +119,20 @@ class TestGate:
             tmp_path, "B.json", {"old_ms": 10.0, "brand_new_ms": 99.0}
         )
         self.baseline(tmp_path, "B.json", {"old_ms": 10.0})
+        assert self.run(tmp_path, "B.json") == 0
+
+    def test_vanished_time_leaf_fails(self, tmp_path, capsys):
+        windows = [{"at_ms": 10.0}, {"at_ms": 20.0}, {"at_ms": 30.0}]
+        self.artifact(tmp_path, "B.json", {"windows": windows[:2]})
+        self.baseline(tmp_path, "B.json", {"windows": windows})
+        assert self.run(tmp_path, "B.json") == 1
+        out = capsys.readouterr().out
+        assert "windows.2.at_ms" in out
+        assert "baseline 30" in out
+
+    def test_vanished_count_leaf_passes(self, tmp_path):
+        self.artifact(tmp_path, "B.json", {"t_ms": 5.0})
+        self.baseline(tmp_path, "B.json", {"t_ms": 5.0, "span_count": 3})
         assert self.run(tmp_path, "B.json") == 0
 
     def test_zero_baseline_never_divides(self, tmp_path):
@@ -287,15 +315,33 @@ class TestCommittedBaselines:
         for name in bench_gate.GATED_ARTIFACTS:
             assert name in err
 
-    def test_flight_artifact_matches_committed_baseline(self, tmp_path):
-        from repro.bench.flight import run_flight
+    def test_default_baseline_dir_does_not_depend_on_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        artifact = tmp_path / "BENCH_flight.json"
+        artifact.write_bytes((BASELINES / "BENCH_flight.json").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert bench_gate.main([str(artifact)]) == 0
 
-        artifact = write_json(
-            tmp_path / "BENCH_flight.json", run_flight().to_dict()
+    def test_dropped_windows_fail_the_flight_baseline(self, tmp_path, capsys):
+        doc = json.loads((BASELINES / "BENCH_flight.json").read_text("utf-8"))
+        last = doc["windows"][-1]["window"]
+        doc["windows"] = doc["windows"][:-3]
+        artifact = write_json(tmp_path / "BENCH_flight.json", doc)
+        assert bench_gate.main([str(artifact)]) == 1
+        assert f"windows.{last}.at_ms vanished" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name",
+        bench_gate.GATED_ARTIFACTS,
+        ids=lambda name: name.removeprefix("BENCH_").removesuffix(".json"),
+    )
+    def test_artifact_matches_committed_baseline(self, name, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        artifact = tmp_path / name
+        assert main([*ARTIFACT_ARGS[name], "--json", str(artifact)]) == 0
+        capsys.readouterr()
+        assert artifact.read_text("utf-8") == (BASELINES / name).read_text(
+            "utf-8"
         )
-        argv = [
-            str(artifact),
-            "--baseline-dir",
-            str(REPO / "benchmarks" / "baselines"),
-        ]
-        assert bench_gate.main(argv) == 0

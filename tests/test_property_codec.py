@@ -42,7 +42,9 @@ def _char(width: int) -> st.SearchStrategy:
         min_size=width,
         max_size=width,
     )
-    return st.one_of(st.none(), st.just(""), text, _char_text.map(lambda s: s[:width]))
+    # Cutting to width can expose an inner space as a trailing one.
+    truncated = _char_text.map(lambda s: s[:width].rstrip(" "))
+    return st.one_of(st.none(), st.just(""), text, truncated)
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)

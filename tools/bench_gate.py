@@ -10,8 +10,10 @@ What is compared: the artifact is flattened to ``(dotted.path, number)``
 leaves and only **time-ish** leaves are gated — paths whose final segment
 ends in ``_ms`` / ``_ns`` or is named in :data:`TIME_KEYS`.  Counts,
 ratios and verdict flags are ignored (they are pinned by tests instead).
-New leaves (no baseline counterpart) pass; a *missing* committed baseline
-file fails with the command that creates it.
+New leaves (no baseline counterpart) pass; a baseline time leaf the
+artifact no longer has fails (a dropped timeline window must not pass as
+"no regression"), and so does a *missing* committed baseline file, with
+the command that creates it.
 
 Usage::
 
@@ -41,8 +43,9 @@ from pathlib import Path
 #: Default regression tolerance: >10% growth of any virtual-time leaf fails.
 DEFAULT_TOLERANCE = 0.10
 
-#: Where committed baselines live, relative to the repository root.
-BASELINE_DIR = Path("benchmarks/baselines")
+#: Where committed baselines live: ``benchmarks/baselines`` of the
+#: repository this script sits in, whatever the working directory.
+BASELINE_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
 
 #: Leaf-key names gated even without an ``_ms``/``_ns`` suffix.
 TIME_KEYS = frozenset({"elapsed", "duration", "apply_span"})
@@ -152,6 +155,12 @@ def gate_artifact(
                 f"{name}: {path} regressed {growth:.1f}% "
                 f"({was:g} -> {now:g} virtual, tolerance "
                 f"{tolerance * 100:.0f}%)"
+            )
+    for path in sorted(expected):
+        if is_time_leaf(path) and path not in current:
+            failures.append(
+                f"{name}: {path} vanished (baseline {expected[path]:g} "
+                f"virtual, absent from the artifact)"
             )
     return failures
 
